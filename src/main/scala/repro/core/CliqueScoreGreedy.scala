@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.Arrays
-
 /** GC — Algorithm 2: store all k-cliques, process them in ascending
   * (clique score, canon) order, greedily keeping disjoint ones.
   *
@@ -65,10 +63,5 @@ object CliqueScoreGreedy {
       if (sa != sb) java.lang.Long.compare(sa, sb)
       else CliqueSearch.compareCanon(a, b)
     }
-  }
-
-  /** Convenience: canonicalise a clique in place-free fashion. */
-  def canon(c: Array[Int]): Array[Int] = {
-    val x = c.clone(); Arrays.sort(x); x
   }
 }

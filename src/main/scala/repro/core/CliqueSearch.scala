@@ -35,16 +35,26 @@ object PruneMode {
   * nodes, which is how the greedy algorithms shrink the residual graph
   * without rebuilding it.
   *
+  * All entry points share one recursion, `rec`; they differ only in the
+  * level-0 candidates, the prune limit and the leaf action.
+  *
   * Not thread-safe: buffers are reused across calls. Create one instance
   * per thread / Spark partition.
   */
 final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   require(k >= 2, s"k must be >= 2, got $k")
 
-  private val levels  = math.max(k, 2)
-  private val bufLen  = math.max(dag.maxDegree, 1)
-  private val candBuf = Array.ofDim[Int](levels, bufLen)
+  private val candBuf = Array.ofDim[Int](k, math.max(dag.maxDegree, 1))
   private val clique  = new Array[Int](k)
+
+  /** Node scores for the partial sums, or null when the search is unscored. */
+  private var scores: Array[Long] = null
+  /** A branch whose partial score sum exceeds `limit` is cut. */
+  private var limit: Long = Long.MaxValue
+  /** Score of the clique handed to the leaf. */
+  private var leafScore: Long = 0L
+  /** Set by a leaf to stop the search. */
+  private var stop: Boolean = false
 
   /** Valid out-degree of `u` (out-neighbours passing the mask). */
   def validOutDegree(u: Int, valid: Array[Boolean]): Int = {
@@ -52,15 +62,6 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     var d = 0
     dag.foreachNeighbor(u) { v => if (valid(v)) d += 1 }
     d
-  }
-
-  /** Fill level-0 candidates with the valid out-neighbours of `u`. */
-  private def fillRoot(u: Int, valid: Array[Boolean]): Int = {
-    var len = 0
-    dag.foreachNeighbor(u) { v =>
-      if (valid == null || valid(v)) { candBuf(0)(len) = v; len += 1 }
-    }
-    len
   }
 
   /** newCand = cand[0,len) ∩ N⁺(v), both sorted ascending by id. */
@@ -78,41 +79,96 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     w
   }
 
+  /** The one recursion: fill `clique(level)` from `cand[0,nCand)` in
+    * ascending order, then the levels below it from the intersections.
+    * `partial` is the score of `clique(0 until level)`. At level k-1 the
+    * leaf gets the clique, with its score in `leafScore`; it sets `stop`
+    * to end the search, and `rec` then returns true.
+    */
+  private def rec(level: Int, cand: Array[Int], nCand: Int, partial: Long,
+                  leaf: Array[Int] => Unit): Boolean = {
+    val sn = scores
+    val last = level == k - 1
+    val next = if (last) null else candBuf(level)
+    var i = 0
+    while (i < nCand) {
+      val v = cand(i)
+      val s = if (sn == null) partial else partial + sn(v)
+      if (s <= limit) {
+        clique(level) = v
+        if (last) {
+          leafScore = s
+          leaf(clique)
+          if (stop) return true
+        } else {
+          val len = intersect(cand, nCand, v, next)
+          if (len >= k - 1 - level && rec(level + 1, next, len, s, leaf)) return true
+        }
+      }
+      i += 1
+    }
+    false
+  }
+
+  /** Start `rec` at `level` with the given scores (null: unscored) and no
+    * prune limit; a leaf may tighten `limit` as it goes.
+    */
+  private def run(level: Int, cand: Array[Int], nCand: Int, partial: Long,
+                  sn: Array[Long], leaf: Array[Int] => Unit): Boolean = {
+    scores = sn
+    limit = Long.MaxValue
+    stop = false
+    nCand >= k - level && rec(level, cand, nCand, partial, leaf)
+  }
+
+  /** Put `u` at level 0 and its valid out-neighbours in the level-0
+    * buffer; returns their number, or -1 when `u` itself is masked.
+    */
+  private def root(u: Int, valid: Array[Boolean]): Int = {
+    if (valid != null && !valid(u)) return -1
+    clique(0) = u
+    val out = candBuf(0)
+    var len = 0
+    dag.foreachNeighbor(u) { v =>
+      if (valid == null || valid(v)) { out(len) = v; len += 1 }
+    }
+    len
+  }
+
   // ---------------------------------------------------------------------
   // Enumeration
   // ---------------------------------------------------------------------
 
-  /** Visit every k-clique whose highest-η node is `u`. The callback's
-    * array is reused — copy it if you keep it.
+  /** Visit the k-cliques that extend `prefix` with nodes of
+    * `cand[0,nCand)`. The caller guarantees that `prefix` is a clique,
+    * that `cand` is sorted ascending and that every node of `cand` is
+    * adjacent to all of `prefix`. Extensions come in lexicographic order
+    * of their node ids when out-neighbours are the higher ids. `f` gets
+    * the reused clique array (prefix first) and returns true to stop;
+    * the result says whether it did.
     */
-  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Unit): Unit = {
-    if (valid != null && !valid(u)) return
-    clique(0) = u
-    val len = fillRoot(u, valid)
-    if (len < k - 1) return
-    enumRec(1, len, f)
+  def forEachExtending(prefix: Array[Int], cand: Array[Int], nCand: Int)
+                      (f: Array[Int] => Boolean): Boolean = {
+    val p = prefix.length
+    require(p <= k, s"prefix of ${prefix.length} nodes for k=$k")
+    System.arraycopy(prefix, 0, clique, 0, p)
+    if (p == k) f(clique)
+    else run(p, cand, nCand, 0L, null, c => stop = f(c))
   }
 
-  private def enumRec(level: Int, nCand: Int, f: Array[Int] => Unit): Unit = {
-    if (level == k - 1) {
-      var i = 0
-      while (i < nCand) { clique(level) = candBuf(level - 1)(i); f(clique); i += 1 }
-    } else {
-      var i = 0
-      while (i < nCand) {
-        val v = candBuf(level - 1)(i)
-        clique(level) = v
-        val len = intersect(candBuf(level - 1), nCand, v, candBuf(level))
-        if (len >= k - 1 - level) enumRec(level + 1, len, f)
-        i += 1
-      }
-    }
+  /** Visit every k-clique whose highest-η node is `u`: the prefix `(u)`
+    * extended by u's valid out-neighbours. The callback's array is
+    * reused — copy it if you keep it.
+    */
+  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Unit): Unit = {
+    val len = root(u, valid)
+    run(1, candBuf(0), len, 0L, null, f)
   }
 
   /** Count cliques rooted at `u` without materialising them. */
   def countFrom(u: Int, valid: Array[Boolean]): Long = {
     var c = 0L
-    forEachFrom(u, valid)(_ => c += 1)
+    run(1, candBuf(0), root(u, valid), 0L, null, _ => c += 1)
     c
   }
 
@@ -123,98 +179,50 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   /** Returns a fresh array (paper order: descending η along the DFS path)
     * or null if no k-clique containing `u` exists among valid nodes.
     */
-  def findFirst(u: Int, valid: Array[Boolean]): Array[Int] = {
-    if (valid != null && !valid(u)) return null
-    clique(0) = u
-    val len = fillRoot(u, valid)
-    if (len < k - 1) return null
-    if (firstRec(1, len)) clique.clone() else null
-  }
-
-  private def firstRec(level: Int, nCand: Int): Boolean = {
-    if (level == k - 1) {
-      if (nCand == 0) return false
-      clique(level) = candBuf(level - 1)(0)
-      true
-    } else {
-      var i = 0
-      while (i < nCand) {
-        val v = candBuf(level - 1)(i)
-        clique(level) = v
-        val len = intersect(candBuf(level - 1), nCand, v, candBuf(level))
-        if (len >= k - 1 - level && firstRec(level + 1, len)) return true
-        i += 1
-      }
-      false
-    }
-  }
+  def findFirst(u: Int, valid: Array[Boolean]): Array[Int] =
+    if (run(1, candBuf(0), root(u, valid), 0L, null, _ => stop = true)) clique.clone() else null
 
   // ---------------------------------------------------------------------
   // Algorithm 3's FindMin: min-(score, canon) clique containing u.
   // ---------------------------------------------------------------------
 
+  private var prune: PruneMode = PruneMode.NoPrune
   private var bestScore: Long = Long.MaxValue
   private var bestNodes: Array[Int] = null
+  private val sorted = new Array[Int](k)
+
+  /** Keep the current clique if it beats the best (score, canon) so far;
+    * on an improvement, tighten the prune limit to the new best score
+    * (`Strict`: `>` prunes) or one below it (`Paper`: `≥` prunes).
+    */
+  private val minLeaf: Array[Int] => Unit = { c =>
+    val score = leafScore
+    if (score <= bestScore) {
+      System.arraycopy(c, 0, sorted, 0, k)
+      Arrays.sort(sorted)
+      if (score < bestScore || CliqueSearch.compareCanon(sorted, bestNodes) < 0) {
+        bestScore = score
+        bestNodes = sorted.clone()
+        limit = prune match {
+          case PruneMode.NoPrune => Long.MaxValue
+          case PruneMode.Strict  => score
+          case PruneMode.Paper   => score - 1
+        }
+      }
+    }
+  }
 
   /** Find the clique rooted at `u` minimising (Σ s_n, canon), with the
     * score-driven pruning strategy of Algorithm 3.
     */
   def findMin(u: Int, valid: Array[Boolean], sn: Array[Long], prune: PruneMode): MinClique = {
-    if (valid != null && !valid(u)) return null
-    clique(0) = u
-    val len = fillRoot(u, valid)
-    if (len < k - 1) return null
+    val len = root(u, valid)
+    if (len < 0) return null
+    this.prune = prune
     bestScore = Long.MaxValue
     bestNodes = null
-    minRec(1, len, sn(u), sn, prune)
+    run(1, candBuf(0), len, sn(u), sn, minLeaf)
     if (bestNodes == null) null else MinClique(bestScore, bestNodes, u)
-  }
-
-  private def pruned(partial: Long, prune: PruneMode): Boolean = prune match {
-    case PruneMode.NoPrune => false
-    case PruneMode.Strict  => partial > bestScore
-    case PruneMode.Paper   => partial >= bestScore
-  }
-
-  private def minRec(level: Int, nCand: Int, sCur: Long, sn: Array[Long], prune: PruneMode): Unit = {
-    if (level == k - 1) {
-      var i = 0
-      while (i < nCand) {
-        val v = candBuf(level - 1)(i)
-        val total = sCur + sn(v)
-        if (!pruned(total, prune)) {
-          clique(level) = v
-          considerCurrent(total)
-        }
-        i += 1
-      }
-    } else {
-      var i = 0
-      while (i < nCand) {
-        val v = candBuf(level - 1)(i)
-        val partial = sCur + sn(v)
-        if (!pruned(partial, prune)) {
-          clique(level) = v
-          val len = intersect(candBuf(level - 1), nCand, v, candBuf(level))
-          if (len >= k - 1 - level) minRec(level + 1, len, sn, prune, partial)
-        }
-        i += 1
-      }
-    }
-  }
-
-  // overload indirection keeps the hot path monomorphic on arg order bugs
-  private def minRec(level: Int, nCand: Int, sn: Array[Long], prune: PruneMode, sCur: Long): Unit =
-    minRec(level, nCand, sCur, sn, prune)
-
-  private def considerCurrent(score: Long): Unit = {
-    if (score > bestScore) return
-    val canon = clique.clone()
-    Arrays.sort(canon)
-    if (score < bestScore || CliqueSearch.compareCanon(canon, bestNodes) < 0) {
-      bestScore = score
-      bestNodes = canon
-    }
   }
 }
 

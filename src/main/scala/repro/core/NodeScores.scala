@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+
+import scala.reflect.ClassTag
 
 /** Distributed node scores (Definition 5): s_n(u) = number of k-cliques
   * containing u — the dominant cost of GC/L/LP and the paper's natural
@@ -12,32 +15,39 @@ import org.apache.spark.sql.SparkSession
   */
 object NodeScores {
 
-  def compute(spark: SparkSession, dag: CsrGraph, k: Int): Array[Long] = {
+  /** One Spark pass over the DAG's source nodes: each partition gets its
+    * range of sources and one `CliqueSearch`, and `perPartition` turns
+    * them into that partition's output; `merge` runs the action on the
+    * resulting RDD while the DAG is still broadcast.
+    */
+  private[core] def overSources[T: ClassTag, R](spark: SparkSession, dag: CsrGraph, k: Int)
+      (perPartition: (CliqueSearch, Iterator[Int]) => Iterator[T])(merge: RDD[T] => R): R = {
     val sc = spark.sparkContext
     val bc = sc.broadcast(dag)
     val slices = math.max(sc.defaultParallelism * 4, 8)
-    val counts = sc
-      .range(0L, dag.n.toLong, numSlices = slices)
-      .mapPartitions { it =>
-        val g = bc.value
-        val local = new Array[Long](g.n)
-        val search = new CliqueSearch(g, k)
-        it.foreach { u =>
-          search.forEachFrom(u.toInt, null) { c =>
-            var i = 0
-            while (i < k) { local(c(i)) += 1; i += 1 }
-          }
+    try merge(sc.range(0L, dag.n.toLong, numSlices = slices).mapPartitions { it =>
+      perPartition(new CliqueSearch(bc.value, k), it.map(_.toInt))
+    })
+    finally bc.destroy()
+  }
+
+  def compute(spark: SparkSession, dag: CsrGraph, k: Int): Array[Long] =
+    overSources(spark, dag, k) { (search, sources) =>
+      val local = new Array[Long](search.dag.n)
+      sources.foreach { u =>
+        search.forEachFrom(u, null) { c =>
+          var i = 0
+          while (i < k) { local(c(i)) += 1; i += 1 }
         }
-        Iterator.single(local)
       }
-      .reduce { (a, b) =>
+      Iterator.single(local)
+    } {
+      _.reduce { (a, b) =>
         var i = 0
         while (i < a.length) { a(i) += b(i); i += 1 }
         a
       }
-    bc.destroy()
-    counts
-  }
+    }
 
   /** Total k-clique count from the score array: each clique contributes
     * k node-memberships.
@@ -45,23 +55,10 @@ object NodeScores {
   def totalCliques(scores: Array[Long], k: Int): Long = scores.sum / k
 
   /** Distributed total count without the per-node breakdown. */
-  def countTotal(spark: SparkSession, dag: CsrGraph, k: Int): Long = {
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(dag)
-    val slices = math.max(sc.defaultParallelism * 4, 8)
-    val total = sc
-      .range(0L, dag.n.toLong, numSlices = slices)
-      .mapPartitions { it =>
-        val g = bc.value
-        val search = new CliqueSearch(g, k)
-        var c = 0L
-        it.foreach(u => c += search.countFrom(u.toInt, null))
-        Iterator.single(c)
-      }
-      .reduce(_ + _)
-    bc.destroy()
-    total
-  }
+  def countTotal(spark: SparkSession, dag: CsrGraph, k: Int): Long =
+    overSources(spark, dag, k) { (search, sources) =>
+      Iterator.single(sources.map(search.countFrom(_, null)).sum)
+    }(_.reduce(_ + _))
 }
 
 /** Distributed full k-clique listing for GC: flatMap over source nodes,
@@ -70,27 +67,16 @@ object NodeScores {
   */
 object SparkCliqueLister {
 
-  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Array[Array[Int]] = {
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(dag)
-    val slices = math.max(sc.defaultParallelism * 4, 8)
-    val cliques = sc
-      .range(0L, dag.n.toLong, numSlices = slices)
-      .mapPartitions { it =>
-        val g = bc.value
-        val search = new CliqueSearch(g, k)
-        val buf = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-        it.foreach { u =>
-          search.forEachFrom(u.toInt, null) { c =>
-            val canon = c.clone()
-            java.util.Arrays.sort(canon)
-            buf += canon
-          }
+  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Array[Array[Int]] =
+    NodeScores.overSources(spark, dag, k) { (search, sources) =>
+      val buf = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+      sources.foreach { u =>
+        search.forEachFrom(u, null) { c =>
+          val canon = c.clone()
+          java.util.Arrays.sort(canon)
+          buf += canon
         }
-        buf.iterator
       }
-      .collect()
-    bc.destroy()
-    cliques
-  }
+      buf.iterator
+    }(_.collect())
 }

@@ -1,6 +1,7 @@
 package repro.dynamic
 
-import repro.core.DisjointResult
+import java.util.Arrays
+import repro.core.{CliqueSearch, CsrGraph, DisjointResult}
 import scala.collection.mutable
 
 /** Section V: dynamic maintenance of a near-optimal disjoint k-clique set.
@@ -16,16 +17,25 @@ import scala.collection.mutable
   * Operations: `insertEdge` (Algorithm 6), `deleteEdge` (Algorithm 7),
   * both funnelling improvement attempts through `trySwap` (Algorithm 4).
   *
+  * Every clique search here runs `CliqueSearch` on the subgraph induced
+  * by a small sorted pool of nodes (`poolSearch`): C ∪ N_F(C) for a
+  * host's candidates, N_F(u) ∩ N_F(v) ∪ {u,v} for an inserted edge and
+  * {x} ∪ N_F(x) for recovery.
+  *
   * Index maintenance deviates from the paper only in granularity
   * (DESIGN.md §3.4): instead of searching for "new candidates containing
   * ⟨u,v⟩" we recompute the candidate sets of the provably sufficient set
   * of affected host cliques — tests assert the index stays identical to
   * a from-scratch Algorithm 5 construction after every update.
   */
-final class DynamicPacking(val g: DynamicGraph, val k: Int,
-                           val maxCandidatesPerHost: Int = 100000) {
+final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
   type Cand = Vector[Int] // canonical ascending node ids
+
+  /** Every host's candidate set stays below this size: `candidatesFor`
+    * throws instead of truncating a set that reaches it.
+    */
+  val maxCandidatesPerHost: Int = 100000
 
   val cliqueOf: Array[Int] = Array.fill(g.n)(-1)
   val cliques = mutable.LinkedHashMap.empty[Int, Array[Int]]
@@ -75,35 +85,26 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int,
     */
   def candidatesFor(cid: Int): mutable.HashSet[Cand] = {
     val c = cliques(cid)
-    val cSet = c.toSet
-    val bSet = mutable.TreeSet.empty[Int]
-    c.foreach(bSet += _)
-    for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) bSet += v }
-    val b = bSet.toArray // sorted ascending
+    val b = mutable.ArrayBuilder.make[Int]
+    b ++= c
+    for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) b += v }
+    val pool = sortedDistinct(b.result())
     val out = mutable.HashSet.empty[Cand]
-    val cur = new Array[Int](k)
-
-    def extend(depth: Int, startIdx: Int, cCount: Int): Unit = {
-      if (out.size >= maxCandidatesPerHost) return
-      if (depth == k) {
-        // ≥1 free node is implied by cCount < k; C itself is cCount == k
-        if (cCount < k && cCount >= 1) out += cur.take(k).toVector
-        return
-      }
-      var i = startIdx
-      while (i < b.length) {
-        val v = b(i)
-        var ok = true
-        var j = 0
-        while (j < depth && ok) { if (!g.hasEdge(cur(j), v)) ok = false; j += 1 }
-        if (ok && b.length - i >= k - depth) {
-          cur(depth) = v
-          extend(depth + 1, i + 1, cCount + (if (cSet(v)) 1 else 0))
-        }
-        i += 1
+    if (pool.length == k) return out // B = C
+    val search = poolSearch(pool)
+    for (r <- pool.indices) search.forEachFrom(r, null) { q =>
+      // out-neighbours are the higher ids, so q (and its nodes) ascend
+      var inHost = 0
+      var j = 0
+      while (j < k) { if (cliqueOf(pool(q(j))) == cid) inHost += 1; j += 1 }
+      // ≥1 free node is implied by inHost < k; C itself is inHost == k
+      if (inHost >= 1 && inHost < k) {
+        out += Vector.tabulate(k)(j => pool(q(j)))
+        if (out.size >= maxCandidatesPerHost)
+          throw new IllegalStateException(
+            s"host clique ${c.mkString(",")} reached $maxCandidatesPerHost candidates")
       }
     }
-    extend(0, 0, 0)
     out
   }
 
@@ -202,10 +203,9 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int,
     val inQueue = mutable.HashSet.empty[Int]
     def push(cid: Int): Unit = if (!inQueue.contains(cid)) { q += cid; inQueue += cid }
     initial.toSeq.distinct.sorted.foreach(push)
-    var guard = 0
-    val maxIter = 10 * g.n + 1000
-    while (q.nonEmpty && guard < maxIter) {
-      guard += 1
+    // Terminates: only a swap pushes, every swap grows |S| (which is at
+    // most n/k), and every pop without a swap shrinks the queue.
+    while (q.nonEmpty) {
       val cid = q.dequeue()
       inQueue -= cid
       if (cliques.contains(cid)) {
@@ -278,34 +278,16 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int,
   }
 
   /** A k-clique of only free nodes containing the edge ⟨u,v⟩, if any —
-    * the direct-add case of Algorithm 6. Deterministic first-found over
-    * ascending node ids.
+    * the direct-add case of Algorithm 6. Deterministic: the
+    * lexicographically first over ascending node ids.
     */
   private def findFreeCliqueWithEdge(u: Int, v: Int): Option[Seq[Int]] = {
-    val common = mutable.TreeSet.empty[Int]
+    val b = mutable.ArrayBuilder.make[Int]
+    b += u; b += v
     g.foreachNeighbor(u) { w =>
-      if (w != v && cliqueOf(w) == -1 && g.hasEdge(v, w)) common += w
+      if (w != v && cliqueOf(w) == -1 && g.hasEdge(v, w)) b += w
     }
-    val pool = common.toArray
-    val cur = new Array[Int](k)
-    cur(0) = math.min(u, v); cur(1) = math.max(u, v)
-    def extend(depth: Int, startIdx: Int): Boolean = {
-      if (depth == k) return true
-      var i = startIdx
-      while (i < pool.length) {
-        val w = pool(i)
-        var ok = true
-        var j = 2
-        while (j < depth && ok) { if (!g.hasEdge(cur(j), w)) ok = false; j += 1 }
-        if (ok) {
-          cur(depth) = w
-          if (extend(depth + 1, i + 1)) return true
-        }
-        i += 1
-      }
-      false
-    }
-    if (k == 2 || extend(2, 0)) Some(cur.take(k).toSeq) else None
+    firstExtending(b.result(), Array(u, v))
   }
 
   // ------------------------------------------------------------------
@@ -358,30 +340,68 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int,
     added.toSeq
   }
 
-  /** First (ascending-id DFS) all-free k-clique containing node `x`. */
+  /** First (ascending-id) all-free k-clique containing node `x`. */
   private def findFreeCliqueAt(x: Int): Option[Seq[Int]] = {
-    val pool = mutable.TreeSet.empty[Int]
-    g.foreachNeighbor(x) { w => if (cliqueOf(w) == -1) pool += w }
-    val arr = pool.toArray
-    val cur = new Array[Int](k)
-    cur(0) = x
-    def extend(depth: Int, startIdx: Int): Boolean = {
-      if (depth == k) return true
-      var i = startIdx
-      while (i < arr.length) {
-        val w = arr(i)
-        var ok = true
-        var j = 1
-        while (j < depth && ok) { if (!g.hasEdge(cur(j), w)) ok = false; j += 1 }
-        if (ok) {
-          cur(depth) = w
-          if (extend(depth + 1, i + 1)) return true
+    val b = mutable.ArrayBuilder.make[Int]
+    b += x
+    g.foreachNeighbor(x) { w => if (cliqueOf(w) == -1) b += w }
+    firstExtending(b.result(), Array(x))
+  }
+
+  // ------------------------------------------------------------------
+  // Clique search over a local pool of nodes
+  // ------------------------------------------------------------------
+
+  /** node → its index in the pool being built, -1 otherwise. */
+  private val poolIdx = Array.fill(g.n)(-1)
+  /** Scratch adjacency of the pool being built; grows on demand. */
+  private var poolAdj = new Array[Int](256)
+
+  /** A clique search over the subgraph induced by `pool` (sorted
+    * ascending, distinct), oriented so that out-neighbours are the
+    * higher ids. Its cliques hold pool indices; `pool(i)` is the node.
+    */
+  private def poolSearch(pool: Array[Int]): CliqueSearch = {
+    val p = pool.length
+    for (i <- 0 until p) poolIdx(pool(i)) = i
+    val offsets = new Array[Int](p + 1)
+    var len = 0
+    for (i <- 0 until p) {
+      g.foreachNeighbor(pool(i)) { w =>
+        val j = poolIdx(w)
+        if (j > i) {
+          if (len == poolAdj.length) poolAdj = Arrays.copyOf(poolAdj, 2 * len)
+          poolAdj(len) = j
+          len += 1
         }
-        i += 1
       }
-      false
+      Arrays.sort(poolAdj, offsets(i), len)
+      offsets(i + 1) = len
     }
-    if (extend(1, 0)) Some(cur.toSeq) else None
+    for (x <- pool) poolIdx(x) = -1
+    new CliqueSearch(new CsrGraph(p, offsets, Arrays.copyOf(poolAdj, len)), k)
+  }
+
+  /** The lexicographically first k-clique made of `prefix` and other
+    * nodes of `nodes`, which holds `prefix` and nodes adjacent to all of it.
+    */
+  private def firstExtending(nodes: Array[Int], prefix: Array[Int]): Option[Seq[Int]] = {
+    val pool = sortedDistinct(nodes)
+    if (pool.length < k) return None
+    val search = poolSearch(pool)
+    val pre = prefix.map(Arrays.binarySearch(pool, _))
+    val cand = pool.indices.filterNot(pre.contains).toArray
+    var found: Seq[Int] = null
+    search.forEachExtending(pre, cand, cand.length) { q => found = q.map(pool(_)).toSeq; true }
+    Option(found)
+  }
+
+  /** `nodes` sorted ascending without duplicates. */
+  private def sortedDistinct(nodes: Array[Int]): Array[Int] = {
+    Arrays.sort(nodes)
+    var w = 0
+    for (x <- nodes) if (w == 0 || nodes(w - 1) != x) { nodes(w) = x; w += 1 }
+    Arrays.copyOf(nodes, w)
   }
 }
 

@@ -1,6 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
+import scala.math.Ordering.Implicits.seqOrdering
+import scala.util.Random
 
 class CliqueSearchSpec extends AnyFunSuite {
 
@@ -63,6 +66,45 @@ class CliqueSearchSpec extends AnyFunSuite {
       assert(enumerate(g, k) == expected)
       // and with a degree ordering: the clique *set* is ordering-invariant
       assert(enumerate(g, k, Orderings.byDegree(g)) == expected)
+    }
+
+    test(s"findFirst is the first clique forEachFrom visits, random masks k=$k seed=$seed") {
+      val n = 10 + seed * 2
+      val g = TestGraphs.randomGraph(n, 0.45, 7L * seed + k)
+      val search = new CliqueSearch(CsrGraph.orient(g, Orderings.byDegree(g)), k)
+      val rnd = new Random(11L * seed + k)
+      for (valid <- null +: Seq.fill(4)(Array.fill(n)(rnd.nextDouble() < 0.8)); u <- 0 until n) {
+        var first: Seq[Int] = null
+        search.forEachFrom(u, valid)(c => if (first == null) first = c.toSeq)
+        assert(Option(search.findFirst(u, valid)).map(_.toSeq) == Option(first), s"u=$u")
+      }
+    }
+
+    test(s"forEachExtending visits the brute-force extensions in lex order and stops k=$k seed=$seed") {
+      val n = 10 + seed * 2
+      val g = TestGraphs.randomGraph(n, 0.45, 7L * seed + k)
+      // out-neighbours are the higher ids, as on DynamicPacking's pools
+      val search = new CliqueSearch(CsrGraph.orient(g, Array.tabulate(n)(u => n - 1 - u)), k)
+      val all = TestGraphs.bruteCliques(g, k)
+      val rnd = new Random(13L * seed + k)
+      for (p <- 1 to k; prefix <- TestGraphs.bruteCliques(g, p)) {
+        val pre = prefix.toArray.sorted
+        val cand = (0 until n).filter(v => !prefix(v) && prefix.forall(g.hasEdge(_, v))).toArray
+        val expected = all.filter(prefix.subsetOf).toSeq.map(c => (c -- prefix).toSeq.sorted).sorted
+        val seen = ArrayBuffer.empty[Seq[Int]]
+        val stopped = search.forEachExtending(pre, cand, cand.length) { c =>
+          assert(c.take(p).toSeq == pre.toSeq)
+          seen += c.drop(p).toSeq
+          false
+        }
+        assert(!stopped && seen == expected, s"prefix=${pre.mkString(",")}")
+        if (expected.nonEmpty) {
+          val stopAt = 1 + rnd.nextInt(expected.size)
+          var visits = 0
+          assert(search.forEachExtending(pre, cand, cand.length) { _ => visits += 1; visits == stopAt })
+          assert(visits == stopAt, s"prefix=${pre.mkString(",")}")
+        }
+      }
     }
   }
 

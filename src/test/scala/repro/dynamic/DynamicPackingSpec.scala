@@ -135,6 +135,19 @@ class DynamicPackingSpec extends AnyFunSuite {
     assert(dp.size == 2)
   }
 
+  test("a host reaching maxCandidatesPerHost throws instead of truncating") {
+    // host C = (0,1,2); node 0 sees every node of a free K_{317,317}, so
+    // C has one candidate (0,x,y) per bipartite edge: 317² = 100,489
+    val side = 317
+    val dg = new DynamicGraph(3 + 2 * side)
+    dg.addEdge(0, 1); dg.addEdge(0, 2); dg.addEdge(1, 2)
+    for (x <- 3 until 3 + 2 * side) dg.addEdge(0, x)
+    for (x <- 3 until 3 + side; y <- 3 + side until 3 + 2 * side) dg.addEdge(x, y)
+    val dp = new DynamicPacking(dg, 3)
+    assert(side * side > dp.maxCandidatesPerHost)
+    intercept[IllegalStateException](dp.initialize(DisjointResult(3, Vector(Array(0, 1, 2)))))
+  }
+
   // ------------------------------------------- randomised soak tests
 
   for (k <- 3 to 5; seed <- 0 until 4) {
