@@ -27,8 +27,6 @@ class TableVIIBench extends SparkSpec {
   test("Table VIII: quality of S after updates stays near scratch rebuild") {
     BenchOut.save("tableVIII", Tables.renderTableVIII(rows))
     for (r <- rows) {
-      val base = math.max(10, r.indexSize / 10).toDouble
-      val _ = base
       // |Δ| small relative to |S|: compare against the scratch size via a
       // generous relative band, as the paper's Table VIII shows small
       // deltas of both signs

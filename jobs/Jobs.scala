@@ -11,13 +11,14 @@ import repro.graphdata.Datasets
   * Each prints the paper-style table computed by repro.bench.Tables.
   */
 object Jobs {
-  def session(name: String): SparkSession =
-    SparkSession.builder
+  def session(name: String): SparkSession = {
+    val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    s.sparkContext.setLogLevel("WARN")
+    s
+  }
 }
 
 object TableI {

@@ -4,33 +4,29 @@ package repro.bench
   *
   * The paper's testbed (504 GB, 64 threads, 24 h limit) is modelled by
   * scaled budgets: a cell is OOM when an algorithm's *modelled* resident
-  * structures exceed `memBudgetMB`, OOT when it exceeds `timeBudgetMs`.
-  * Override via environment for bigger machines.
+  * structures exceed `memBudgetMB`, OOT when it exceeds `optTimeBudgetMs`.
   */
 object BenchConfig {
-  private def envLong(name: String, default: Long): Long =
-    sys.env.get(name).map(_.toLong).getOrElse(default)
-
   /** Modelled memory budget for clique-materialising algorithms (MB).
     * Paper: 504 GB physical; scaled to the container. */
-  val memBudgetMB: Long = envLong("REPRO_MEM_BUDGET_MB", 512L)
+  val memBudgetMB: Long = 512L
 
   /** Time budget per OPT cell (ms). Paper: 24 h. */
-  val optTimeBudgetMs: Long = envLong("REPRO_OPT_TIME_BUDGET_MS", 10000L)
+  val optTimeBudgetMs: Long = 10000L
 
   /** OPT also dies when its clique graph is too large to materialise. */
-  val optMaxCliques: Long = envLong("REPRO_OPT_MAX_CLIQUES", 200000L)
-  val optMaxConflictEdges: Long = envLong("REPRO_OPT_MAX_CONFLICT_EDGES", 20000000L)
+  val optMaxCliques: Long = 200000L
+  val optMaxConflictEdges: Long = 20000000L
 
   /** k sweep of the evaluation section. */
   val ks: Seq[Int] = 3 to 6
 
   /** Update-workload sizes (paper: 10K del + 10K ins + 20K mixed; scaled
     * down so the full dynamic sweep stays in the session time budget). */
-  val updatesPerWorkload: Int = envLong("REPRO_UPDATES", 2000L).toInt
+  val updatesPerWorkload: Int = 2000
 
   /** Watts–Strogatz sweep (paper: n=1M; scaled to n=50K). */
-  val wsNodes: Int = envLong("REPRO_WS_NODES", 50000L).toInt
+  val wsNodes: Int = 50000
   val wsDegrees: Seq[Int] = Seq(8, 16, 32, 64)
   val wsBeta: Double = 0.3
 }

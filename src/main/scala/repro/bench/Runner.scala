@@ -35,6 +35,7 @@ object Runner {
 
     // HG — degree ordering, pure driver greedy
     val (hgRes, hgMs) = timed(BasicFramework.run(g, k))
+    Validation.ensureValid(g, hgRes, s"$name k=$k HG")
     val hg = AlgoCell("ok", hgRes.size, hgMs, MemoryModel.toMB(MemoryModel.hgBytes(g)))
 
     // shared node scores (Spark-distributed enumeration pass)
@@ -53,6 +54,7 @@ object Runner {
           val cliques = SparkCliqueLister.listAll(spark, dag, k)
           CliqueScoreGreedy.select(g.n, k, cliques, sn)
         }
+        Validation.ensureValid(g, res, s"$name k=$k GC")
         AlgoCell("ok", res.size, snMs + ms, gcModelMB)
       }
 
@@ -63,11 +65,13 @@ object Runner {
       if (!runL) AlgoCell("skip", modelMB = lpModelMB)
       else {
         val (res, ms) = timed(Lightweight.run(g, k, sn, PruneMode.NoPrune)._1)
+        Validation.ensureValid(g, res, s"$name k=$k L")
         AlgoCell("ok", res.size, snMs + ms, lpModelMB)
       }
 
     // LP — lightweight with the paper's score-driven pruning
     val (lpRes, lpMs) = timed(Lightweight.run(g, k, sn, PruneMode.Paper)._1)
+    Validation.ensureValid(g, lpRes, s"$name k=$k LP")
     val lp = AlgoCell("ok", lpRes.size, snMs + lpMs, lpModelMB)
 
     // OPT — exact MIS on the clique graph (small inputs only)
@@ -78,6 +82,7 @@ object Runner {
           timeBudgetMs = BenchConfig.optTimeBudgetMs,
           maxCliques = BenchConfig.optMaxCliques,
           maxConflictEdges = BenchConfig.optMaxConflictEdges))
+        res.foreach(r => Validation.ensureValid(g, r.result, s"$name k=$k OPT"))
         res match {
           case Left(_) => AlgoCell("OOM")
           case Right(r) if !r.optimal => AlgoCell("OOT", millis = ms)

@@ -101,10 +101,12 @@ object Tables {
     for (spec <- specs; k <- BenchConfig.ks) yield {
       val g = spec.csr
       val lp = lpOn(spark, g, k)
+      Validation.ensureValid(g, lp, s"${spec.name} k=$k LP")
       val opt = ExactSolver.run(g, k,
         timeBudgetMs = BenchConfig.optTimeBudgetMs,
         maxCliques = BenchConfig.optMaxCliques,
         maxConflictEdges = BenchConfig.optMaxConflictEdges)
+      opt.foreach(r => Validation.ensureValid(g, r.result, s"${spec.name} k=$k OPT"))
       opt match {
         case Right(r) if r.optimal =>
           val er =
@@ -206,13 +208,16 @@ object Tables {
     delEdges.foreach { case (u, v) => dp.deleteEdge(u, v) }
     val delNs = System.nanoTime() - t0
     val afterDel = dp.size
-    val scratchDel = lpOn(spark, dp.g.toCsr, k).size
+    val gDel = dp.g.toCsr
+    Validation.ensureValid(gDel, dp.result, s"${spec.name} k=$k dynamic after deletions")
+    val scratchDel = lpOn(spark, gDel, k).size
 
     // --- insertion workload (restores the original graph)
     val t1 = System.nanoTime()
     delEdges.foreach { case (u, v) => dp.insertEdge(u, v) }
     val insNs = System.nanoTime() - t1
     val afterIns = dp.size
+    Validation.ensureValid(g, dp.result, s"${spec.name} k=$k dynamic after insertions")
     val scratchIns = initial.size // graph is back to the original
 
     // --- mixed workload on G' = G minus mixDelPool
@@ -229,7 +234,9 @@ object Tables {
     ops.foreach { case (ins, (u, v)) => if (ins) dp2.insertEdge(u, v) else dp2.deleteEdge(u, v) }
     val mixNs = System.nanoTime() - t2
     val afterMix = dp2.size
-    val scratchMix = lpOn(spark, dp2.g.toCsr, k).size
+    val gMix = dp2.g.toCsr
+    Validation.ensureValid(gMix, dp2.result, s"${spec.name} k=$k dynamic after mixed updates")
+    val scratchMix = lpOn(spark, gMix, k).size
 
     DynamicRow(spec.name, k,
       indexMs = indexNs / 1e6,

@@ -31,9 +31,6 @@ final class CsrGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
     best
   }
 
-  /** Neighbours of `u` as a read-only slice view — do not mutate. */
-  def neighborSlice(u: Int): (Int, Int) = (offsets(u), offsets(u + 1))
-
   def neighborsOf(u: Int): Array[Int] =
     Arrays.copyOfRange(adj, offsets(u), offsets(u + 1))
 

@@ -43,6 +43,12 @@ object Validation {
     None
   }
 
+  /** Throws IllegalStateException, naming `label` (dataset, k,
+    * algorithm), when `validate` finds an error in `result`.
+    */
+  def ensureValid(g: CsrGraph, result: DisjointResult, label: String): Unit =
+    validate(g, result).foreach(err => throw new IllegalStateException(s"$label: invalid S: $err"))
+
   /** S is maximal iff the residual graph (covered nodes removed) has no
     * k-clique left. Exhaustive — use on test-scale graphs only.
     */

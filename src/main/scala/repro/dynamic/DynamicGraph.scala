@@ -5,7 +5,7 @@ import scala.collection.mutable
 
 /** Mutable adjacency supporting the edge insert/delete workloads of
   * Section V. Hash-set adjacency: O(1) membership, O(deg) neighbour
-  * scans; `neighborsSorted` gives deterministic iteration.
+  * scans.
   */
 final class DynamicGraph(val n: Int) {
   private val adj: Array[mutable.HashSet[Int]] = Array.fill(n)(mutable.HashSet.empty[Int])
@@ -32,12 +32,6 @@ final class DynamicGraph(val n: Int) {
   }
 
   def foreachNeighbor(u: Int)(f: Int => Unit): Unit = adj(u).foreach(f)
-
-  def neighborsSorted(u: Int): Array[Int] = {
-    val a = adj(u).toArray
-    java.util.Arrays.sort(a)
-    a
-  }
 
   def toCsr: CsrGraph = {
     val src = mutable.ArrayBuffer.empty[Int]

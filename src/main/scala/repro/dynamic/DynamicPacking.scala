@@ -253,8 +253,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
           case Some(cliqueNodes) =>
             // both free and a fully-free clique exists: add directly, no
             // TrySwap (no other clique gains candidates from this).
-            val id = addClique(cliqueNodes)
-            val _ = id
+            addClique(cliqueNodes)
           case None =>
             // the new edge may create candidates for hosts seeing both
             // u and v as free neighbours

@@ -2,7 +2,6 @@ package repro.graphdata
 
 import repro.core.CsrGraph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -10,17 +9,13 @@ import scala.util.Random
 final case class EdgeList(n: Int, src: Array[Int], dst: Array[Int]) {
   def m: Int = src.length
   def toCsr: CsrGraph = CsrGraph.fromUndirectedEdges(n, src, dst)
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    src.zip(dst).toSeq.map { case (a, b) => (a.toLong, b.toLong) }.toDF("src", "dst")
-  }
 }
 
 /** Seeded synthetic graph generators (dataset substitutes — see DESIGN.md
   * §3/§4: the KONECT/NetworkRepository graphs are not available offline).
   *
   * All generators are deterministic in their parameters + seed, so every
-  * test, bench, and oracle comparison sees the identical graph.
+  * test and bench sees the identical graph.
   */
 object GraphGen {
 

@@ -13,6 +13,7 @@ class NodeScoresSpec extends SparkSpec {
       val driver = CliqueSearch.countPerNode(dag, k)
       val dist = NodeScores.compute(spark, dag, k)
       assert(dist.toSeq == driver.toSeq)
+      assert(NodeScores.countTotal(spark, dag, k) == TestGraphs.bruteCliques(g, k).size)
     }
   }
 

@@ -61,11 +61,18 @@ object TestGraphs {
   // Brute-force references (exponential — test-scale graphs only)
   // ------------------------------------------------------------------
 
-  /** All k-cliques by testing every k-subset. */
-  def bruteCliques(g: CsrGraph, k: Int): Set[Set[Int]] =
-    (0 until g.n).combinations(k).filter { c =>
-      c.combinations(2).forall { p => g.hasEdge(p(0), p(1)) }
-    }.map(_.toSet).toSet
+  /** All k-cliques by testing every ascending k-subset. A subset is
+    * skipped as soon as one of its prefixes is not a clique, since no
+    * superset of a non-clique is a clique.
+    */
+  def bruteCliques(g: CsrGraph, k: Int): Set[Set[Int]] = {
+    def grow(chosen: List[Int], from: Int, left: Int): Iterator[List[Int]] =
+      if (left == 0) Iterator.single(chosen)
+      else (from until g.n).iterator
+        .filter(v => chosen.forall(g.hasEdge(_, v)))
+        .flatMap(v => grow(v :: chosen, v + 1, left - 1))
+    grow(Nil, 0, k).map(_.toSet).toSet
+  }
 
   /** Exact maximum disjoint k-clique set size by exhaustive search. */
   def bruteMaxDisjoint(g: CsrGraph, k: Int): Int = {

@@ -9,6 +9,7 @@ class ValidationSpec extends AnyFunSuite {
   test("validate accepts a correct disjoint set") {
     val r = DisjointResult(3, Vector(Array(0, 2, 5), Array(6, 7, 8)))
     assert(Validation.validate(g, r).isEmpty)
+    Validation.ensureValid(g, r, "fig2 k=3 LP")
   }
 
   test("validate rejects wrong clique size") {
@@ -29,6 +30,8 @@ class ValidationSpec extends AnyFunSuite {
   test("validate rejects overlapping cliques") {
     val r = DisjointResult(3, Vector(Array(0, 2, 5), Array(2, 4, 5)))
     assert(Validation.validate(g, r).exists(_.contains("two cliques")))
+    val e = intercept[IllegalStateException](Validation.ensureValid(g, r, "fig2 k=3 LP"))
+    assert(e.getMessage == s"fig2 k=3 LP: invalid S: ${Validation.validate(g, r).get}")
   }
 
   test("isMaximal detects a non-maximal set") {
