@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Arrays
+
 /** GC — Algorithm 2: store all k-cliques, process them in ascending
   * (clique score, canon) order, greedily keeping disjoint ones.
   *
@@ -17,27 +19,88 @@ object CliqueScoreGreedy {
     s
   }
 
-  /** Greedy selection over pre-materialised cliques. `cliques` must be in
-    * canonical (ascending node id) form; the array is not mutated.
+  /** Greedy selection over pre-materialised canonical cliques, in
+    * ascending (clique score, canonical lex) order.
+    *
+    * Each clique gets one packed key, `score · τ + lexRank`, where
+    * lexRank is its position in canonical lex order (an LSD radix sort
+    * by node id over the k columns, k counting passes of O(τ + n)). One
+    * `Arrays.sort` of τ longs then gives the order, and a linear scan
+    * over a `used` bitmap selects: O(k·τ + τ log τ), no comparator.
+    *
+    * No overflow: a node's score counts the cliques it is in, so a
+    * clique's score is at most k·τ and a key is below k·τ² + τ. Flat
+    * storage holds τ·k ≤ `Int.MaxValue` ids (`Cliques.checkSize`), so
+    * k·τ² + τ < 2^62 + 2^31 < 2^63. Scores from elsewhere are checked.
     */
-  def select(n: Int, k: Int, cliques: Array[Array[Int]], sn: Array[Long]): DisjointResult = {
-    val order = cliques.sortBy(c => c)(CliqueOrdering(sn))
+  def select(n: Int, k: Int, cliques: Cliques, sn: Array[Long]): DisjointResult = {
+    require(cliques.k == k, s"cliques of ${cliques.k} nodes for k=$k")
+    val tau = cliques.length
+    val nodes = cliques.nodes
+    val lex = lexOrder(n, cliques)
+    val keys = new Array[Long](tau)
+    val maxScore = if (tau == 0) 0L else (Long.MaxValue - tau) / tau
+    var r = 0
+    while (r < tau) {
+      val base = lex(r) * k
+      var s = 0L
+      var j = 0
+      while (j < k) { s += sn(nodes(base + j)); j += 1 }
+      if (s < 0 || s > maxScore)
+        throw new IllegalArgumentException(s"clique score $s does not pack with τ=$tau")
+      keys(r) = s * tau + r
+      r += 1
+    }
+    Arrays.sort(keys)
     val used = new Array[Boolean](n)
     val out = Vector.newBuilder[Array[Int]]
     var i = 0
-    while (i < order.length) {
-      val c = order(i)
+    while (i < tau) {
+      val base = lex((keys(i) % tau).toInt) * k
       var free = true
       var j = 0
-      while (j < k && free) { if (used(c(j))) free = false; j += 1 }
+      while (j < k && free) { if (used(nodes(base + j))) free = false; j += 1 }
       if (free) {
-        out += c
         j = 0
-        while (j < k) { used(c(j)) = true; j += 1 }
+        while (j < k) { used(nodes(base + j)) = true; j += 1 }
+        out += Arrays.copyOfRange(nodes, base, base + k)
       }
       i += 1
     }
     DisjointResult(k, out.result())
+  }
+
+  /** Clique indices in canonical lex order: a stable counting sort by
+    * node id per column, last column first.
+    */
+  private def lexOrder(n: Int, cliques: Cliques): Array[Int] = {
+    val k = cliques.k
+    val tau = cliques.length
+    val nodes = cliques.nodes
+    var order = new Array[Int](tau)
+    var next = new Array[Int](tau)
+    var i = 0
+    while (i < tau) { order(i) = i; i += 1 }
+    val count = new Array[Int](n + 1)
+    var col = k - 1
+    while (col >= 0) {
+      Arrays.fill(count, 0)
+      i = 0
+      while (i < tau) { count(nodes(i * k + col) + 1) += 1; i += 1 }
+      var v = 0
+      while (v < n) { count(v + 1) += count(v); v += 1 }
+      i = 0
+      while (i < tau) {
+        val c = order(i)
+        val v = nodes(c * k + col)
+        next(count(v)) = c
+        count(v) += 1
+        i += 1
+      }
+      val t = order; order = next; next = t
+      col -= 1
+    }
+    order
   }
 
   /** Full GC pipeline: node scores + listing on the score-ordered DAG,
@@ -53,15 +116,5 @@ object CliqueScoreGreedy {
     val dag = CsrGraph.orient(g, rank)
     val cliques = CliqueSearch.listAll(dag, k)
     (select(g.n, k, cliques, sn), cliques.length.toLong)
-  }
-
-  /** The fixed total clique ordering: ascending (score, canonical lex). */
-  final case class CliqueOrdering(sn: Array[Long]) extends Ordering[Array[Int]] {
-    override def compare(a: Array[Int], b: Array[Int]): Int = {
-      val sa = cliqueScore(a, sn)
-      val sb = cliqueScore(b, sn)
-      if (sa != sb) java.lang.Long.compare(sa, sb)
-      else CliqueSearch.compareCanon(a, b)
-    }
   }
 }

@@ -263,19 +263,15 @@ object CliqueSearch {
     total
   }
 
-  /** Materialise every k-clique (canonical node order ascending). */
-  def listAll(dag: CsrGraph, k: Int): Array[Array[Int]] = {
-    val out = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+  /** Materialise every k-clique, flat and canonical (ids ascending). */
+  def listAll(dag: CsrGraph, k: Int): Cliques = {
+    val out = new Cliques.Buffer(k)
     val search = new CliqueSearch(dag, k)
     var u = 0
     while (u < dag.n) {
-      search.forEachFrom(u, null) { c =>
-        val canon = c.clone()
-        Arrays.sort(canon)
-        out += canon
-      }
+      search.forEachFrom(u, null)(out.add)
       u += 1
     }
-    out.toArray
+    Cliques(k, out.nodes)
   }
 }

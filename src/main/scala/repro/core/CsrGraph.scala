@@ -80,8 +80,17 @@ object CsrGraph {
     fromCanonicalEncoded(n, packed, uniq)
   }
 
+  /** Throws IllegalArgumentException when m undirected edges do not fit
+    * the Int-indexed CSR: its 2m adjacency entries and offsets are Ints.
+    */
+  def checkSize(n: Int, m: Long): Unit =
+    if (2 * m > Int.MaxValue)
+      throw new IllegalArgumentException(
+        s"n=$n, m=$m: 2m = ${2 * m} adjacency entries overflow the Int CSR")
+
   /** Build from already-unique canonical (lo<hi) encoded edges. */
   private def fromCanonicalEncoded(n: Int, packed: Array[Long], m: Int): CsrGraph = {
+    checkSize(n, m)
     val deg = new Array[Int](n)
     var i = 0
     while (i < m) {

@@ -27,11 +27,12 @@ object ExactSolver {
     if (tau > maxCliques) return Left(s"OOM: $tau cliques exceed budget $maxCliques")
     val cliques = CliqueSearch.listAll(dag, k)
     val nc = cliques.length
+    val nodes = cliques.nodes
 
     // Conflict adjacency: cliques sharing a node. Built via the inverted
     // node -> clique-ids index, deduplicated per clique.
     val byNode = Array.fill(g.n)(new mutable.ArrayBuffer[Int]())
-    for (i <- 0 until nc; v <- cliques(i)) byNode(v) += i
+    for (i <- 0 until nc; j <- 0 until k) byNode(nodes(i * k + j)) += i
     val conflictSets = Array.fill(nc)(new mutable.HashSet[Int]())
     var conflictEdges = 0L
     for (v <- 0 until g.n) {
@@ -58,7 +59,7 @@ object ExactSolver {
     // per-G-node count of alive cliques containing it; #nodes with count>0
     // gives the ⌊free nodes / k⌋ upper bound on what remains packable.
     val nodeCnt = new Array[Int](g.n)
-    for (c <- cliques; v <- c) nodeCnt(v) += 1
+    for (v <- nodes) nodeCnt(v) += 1
     var aliveNodes = nodeCnt.count(_ > 0)
     val aliveDeg = conflicts.map(_.length)
 
@@ -72,13 +73,15 @@ object ExactSolver {
     def kill(i: Int, removedStack: mutable.ArrayBuffer[Int]): Unit = {
       alive(i) = false
       removedStack += i
-      for (v <- cliques(i)) { nodeCnt(v) -= 1; if (nodeCnt(v) == 0) aliveNodes -= 1 }
+      var o = i * k
+      while (o < (i + 1) * k) { val v = nodes(o); nodeCnt(v) -= 1; if (nodeCnt(v) == 0) aliveNodes -= 1; o += 1 }
       for (j <- conflicts(i)) aliveDeg(j) -= 1
     }
 
     def revive(i: Int): Unit = {
       alive(i) = true
-      for (v <- cliques(i)) { if (nodeCnt(v) == 0) aliveNodes += 1; nodeCnt(v) += 1 }
+      var o = i * k
+      while (o < (i + 1) * k) { val v = nodes(o); if (nodeCnt(v) == 0) aliveNodes += 1; nodeCnt(v) += 1; o += 1 }
       for (j <- conflicts(i)) aliveDeg(j) += 1
     }
 
@@ -144,7 +147,7 @@ object ExactSolver {
     }
 
     // seed best with the greedy min-conflict-degree MIS so pruning bites
-    val seed = greedySeed(nc, cliques, conflicts)
+    val seed = greedySeed(nc, conflicts)
     best = seed.size
     bestSet = seed
     recurse()
@@ -153,7 +156,7 @@ object ExactSolver {
   }
 
   /** Greedy MIS (ascending conflict degree) used as the initial bound. */
-  private def greedySeed(nc: Int, cliques: Array[Array[Int]], conflicts: Array[Array[Int]]): List[Int] = {
+  private def greedySeed(nc: Int, conflicts: Array[Array[Int]]): List[Int] = {
     val order = (0 until nc).sortBy(i => (conflicts(i).length, i))
     val dead = new Array[Boolean](nc)
     val out = List.newBuilder[Int]

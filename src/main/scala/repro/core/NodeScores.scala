@@ -61,22 +61,17 @@ object NodeScores {
     }(_.reduce(_ + _))
 }
 
-/** Distributed full k-clique listing for GC: flatMap over source nodes,
-  * collect canonical cliques to the driver (this is exactly the memory
-  * cost GC pays and Algorithm 3 avoids).
+/** Distributed full k-clique listing for GC: each partition lists the
+  * cliques rooted at its sources into one flat canonical block, and the
+  * driver concatenates the collected blocks once (this is exactly the
+  * memory cost GC pays and Algorithm 3 avoids).
   */
 object SparkCliqueLister {
 
-  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Array[Array[Int]] =
+  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques =
     NodeScores.overSources(spark, dag, k) { (search, sources) =>
-      val buf = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-      sources.foreach { u =>
-        search.forEachFrom(u, null) { c =>
-          val canon = c.clone()
-          java.util.Arrays.sort(canon)
-          buf += canon
-        }
-      }
-      buf.iterator
-    }(_.collect())
+      val block = new Cliques.Buffer(k)
+      sources.foreach(search.forEachFrom(_, null)(block.add))
+      Iterator.single(block.nodes)
+    }(blocks => Cliques.concat(k, blocks.collect()))
 }

@@ -2,6 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import scala.math.Ordering.Implicits.seqOrdering
+import scala.util.Random
+
 /** HG (Algorithm 1), GC (Algorithm 2), L/LP (Algorithm 3). */
 class AlgorithmsSpec extends AnyFunSuite {
 
@@ -77,6 +80,67 @@ class AlgorithmsSpec extends AnyFunSuite {
       assert(Validation.validate(g, r).isEmpty)
       assert(Validation.isMaximal(g, r))
     }
+  }
+
+  /** Reference GC order: sort by the tuple (clique score, canonical
+    * clique) lexicographically, then select greedily.
+    */
+  private def referenceGc(n: Int, cliques: Seq[Set[Int]], scores: Array[Long]): Seq[Seq[Int]] = {
+    val used = new Array[Boolean](n)
+    cliques.map(_.toSeq.sorted)
+      .sortBy(c => (CliqueScoreGreedy.cliqueScore(c.toArray, scores), c))
+      .filter { c =>
+        val free = c.forall(!used(_))
+        if (free) c.foreach(used(_) = true)
+        free
+      }
+  }
+
+  /** select on the listing of the score-ordered DAG, and on a shuffled
+    * copy of it, both equal the reference in content and selection order.
+    */
+  private def assertGcOrder(g: CsrGraph, k: Int, seed: Long): Unit = {
+    val scores = sn(g, k)
+    val want = referenceGc(g.n, TestGraphs.bruteCliques(g, k).toSeq, scores)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byScore(scores)), k)
+    val shuffled = Cliques(k, new Random(seed).shuffle(TestGraphs.grouped(listed).toSeq).flatten.toArray)
+    for (cliques <- Seq(listed, shuffled))
+      assert(CliqueScoreGreedy.select(g.n, k, cliques, scores).cliques.map(_.toSeq) == want)
+    assert(CliqueScoreGreedy.run(g, k, scores)._1.cliques.map(_.toSeq) == want)
+  }
+
+  for (k <- 3 to 6; seed <- 0 until 4) {
+    test(s"GC select order equals the (score, canon) tuple-sort reference k=$k seed=$seed") {
+      assertGcOrder(TestGraphs.randomGraph(16 + 2 * seed, 0.55, 333L * k + seed), k, seed)
+    }
+  }
+
+  test("GC select order on tie-heavy graphs: lex rank decides among equal scores") {
+    // four K5s and one K7 (ids 20..26), and K_10 alone
+    val k5s = for (b <- 0 until 4; i <- 0 until 5; j <- i + 1 until 5) yield (5 * b + i, 5 * b + j)
+    val k7 = for (i <- 0 until 7; j <- i + 1 until 7) yield (20 + i, 20 + j)
+    for (g <- Seq(TestGraphs.fromEdges(27, k5s ++ k7), TestGraphs.complete(10)); k <- 3 to 5) {
+      val scores = sn(g, k)
+      val cliques = TestGraphs.bruteCliques(g, k).toSeq
+      val distinctScores = cliques.map(c => CliqueScoreGreedy.cliqueScore(c.toArray, scores)).distinct
+      assert(distinctScores.size < cliques.size / 4, s"k=$k: too few ties")
+      assertGcOrder(g, k, k)
+    }
+  }
+
+  test("GC select on zero cliques returns the empty packing") {
+    val g = TestGraphs.cycle(10)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
+    assert(listed.length == 0)
+    assert(CliqueScoreGreedy.select(g.n, 3, listed, new Array[Long](g.n)).size == 0)
+    assert(CliqueScoreGreedy.run(g, 3) == (DisjointResult.empty(3), 0L))
+  }
+
+  test("GC select rejects scores whose packed key would overflow") {
+    val g = TestGraphs.complete(6)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
+    intercept[IllegalArgumentException](
+      CliqueScoreGreedy.select(g.n, 3, listed, Array.fill(g.n)(Long.MaxValue / 8)))
   }
 
   // ------------------------------------------------------------ L/LP

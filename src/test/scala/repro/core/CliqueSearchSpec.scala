@@ -10,7 +10,7 @@ class CliqueSearchSpec extends AnyFunSuite {
   private def enumerate(g: CsrGraph, k: Int, rank: Array[Int] = null): Set[Set[Int]] = {
     val r = if (rank != null) rank else Orderings.byId(g.n)
     val dag = CsrGraph.orient(g, r)
-    CliqueSearch.listAll(dag, k).map(_.toSet).toSet
+    TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSet).toSet
   }
 
   test("fig2: exactly the seven 3-cliques of the paper") {
@@ -160,7 +160,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         val dag = CsrGraph.orient(g, rank)
         val search = new CliqueSearch(dag, k)
         // brute: for each source u, min over cliques rooted at u
-        val all = CliqueSearch.listAll(dag, k)
+        val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
         val byRoot = all.groupBy(c => c.maxBy(rank(_))) // root = highest-η node
         for (u <- 0 until g.n) {
           val mc = search.findMin(u, null, sn, prune)
@@ -187,7 +187,7 @@ class CliqueSearchSpec extends AnyFunSuite {
       val rank = Orderings.byScore(sn)
       val dag = CsrGraph.orient(g, rank)
       val search = new CliqueSearch(dag, k)
-      val all = CliqueSearch.listAll(dag, k)
+      val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
       val byRoot = all.groupBy(c => c.maxBy(rank(_)))
       for (u <- 0 until g.n) {
         val mc = search.findMin(u, null, sn, PruneMode.Paper)
@@ -199,5 +199,35 @@ class CliqueSearchSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("listAll is flat and canonical, with length τ") {
+    for (k <- 3 to 5; seed <- 0 until 3) {
+      val g = TestGraphs.randomGraph(20, 0.5, 900L + 10 * k + seed)
+      val dag = CsrGraph.orient(g, Orderings.byDegree(g))
+      val listed = CliqueSearch.listAll(dag, k)
+      assert(listed.k == k && listed.nodes.length == k * listed.length)
+      assert(listed.length.toLong == CliqueSearch.countTotal(dag, k))
+      val cs = TestGraphs.grouped(listed).map(_.toSeq)
+      assert(cs.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
+      assert(cs.distinct.length == cs.length, "clique listed twice")
+      assert(cs.indices.forall(i => listed(i).toSeq == cs(i)))
+    }
+  }
+
+  test("Cliques.concat joins blocks in order; Buffer sorts each clique") {
+    val b = new Cliques.Buffer(3)
+    Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
+    assert(b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
+    val joined = Cliques.concat(3, Array(b.nodes, Array.empty[Int], Array(6, 7, 8)))
+    assert(joined.length == 3 && joined.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4, 6, 7, 8))
+    assert(Cliques.concat(4, Array.empty).length == 0)
+  }
+
+  test("size check: τ·k over Int.MaxValue fails, naming τ and k") {
+    val maxTau = Int.MaxValue / 3
+    Cliques.checkSize(maxTau.toLong, 3)
+    val e = intercept[IllegalStateException](Cliques.checkSize(maxTau + 1L, 3))
+    assert(e.getMessage.contains(s"${maxTau + 1L} cliques") && e.getMessage.contains("k=3"))
   }
 }

@@ -97,4 +97,11 @@ class CsrGraphSpec extends AnyFunSuite {
       assert(dag.adjSize.toLong == g.undirectedEdgeCount)
     }
   }
+
+  test("size check: 2m over Int.MaxValue fails before allocating, naming n and m") {
+    val maxM = Int.MaxValue / 2
+    CsrGraph.checkSize(7, maxM.toLong) // 2m = Int.MaxValue - 1 fits
+    val e = intercept[IllegalArgumentException](CsrGraph.checkSize(7, maxM + 1L))
+    assert(e.getMessage.contains("n=7") && e.getMessage.contains(s"m=${maxM + 1L}"))
+  }
 }

@@ -3,6 +3,8 @@ package repro.core
 import repro.SparkSpec
 import repro.graphdata.GraphGen
 
+import scala.math.Ordering.Implicits.seqOrdering
+
 /** Distributed node-score computation vs the driver-side reference. */
 class NodeScoresSpec extends SparkSpec {
 
@@ -33,12 +35,15 @@ class NodeScoresSpec extends SparkSpec {
   }
 
   for (k <- 3 to 5) {
-    test(s"SparkCliqueLister == driver listAll (as sets), k=$k") {
+    test(s"SparkCliqueLister == driver listAll (multiset), k=$k") {
       val g = TestGraphs.randomGraph(35, 0.35, 555L + k)
       val dag = CsrGraph.orient(g, Orderings.byDegree(g))
-      val dist = SparkCliqueLister.listAll(spark, dag, k).map(_.toSeq).toSet
-      val driver = CliqueSearch.listAll(dag, k).map(_.toSeq).toSet
-      assert(dist == driver)
+      val listed = SparkCliqueLister.listAll(spark, dag, k)
+      val dist = TestGraphs.grouped(listed).map(_.toSeq).toSeq
+      val driver = TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq
+      assert(dist.sorted == driver.sorted)
+      assert(listed.length.toLong == CliqueSearch.countTotal(dag, k))
+      assert(dist.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
     }
   }
 
@@ -53,5 +58,6 @@ class NodeScoresSpec extends SparkSpec {
     val viaSpark = CliqueScoreGreedy.select(g.n, k, sparkCliques, sn)
     val (viaDriver, _) = CliqueScoreGreedy.run(g, k, sn)
     assert(viaSpark.cliqueSets == viaDriver.cliqueSets)
+    assert(viaSpark.cliques.map(_.toSeq) == viaDriver.cliques.map(_.toSeq), "selection order")
   }
 }

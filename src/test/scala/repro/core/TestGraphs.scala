@@ -39,6 +39,9 @@ object TestGraphs {
   lazy val fig5G1: CsrGraph = fromEdges(11, fig5G1Edges)
   lazy val fig5G2: CsrGraph = fromEdges(11, fig5G1Edges :+ ((4, 6)))
 
+  /** The cliques of a flat listing, one array each, in listing order. */
+  def grouped(c: Cliques): Array[Array[Int]] = c.nodes.grouped(c.k).toArray
+
   def complete(n: Int): CsrGraph =
     fromEdges(n, for (i <- 0 until n; j <- (i + 1) until n) yield (i, j))
 
