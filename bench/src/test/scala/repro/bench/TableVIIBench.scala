@@ -41,7 +41,7 @@ class TableVIIBench extends SparkSpec {
   test("Fig 7 companion: update times recorded") {
     BenchOut.save("fig7-update-times", Tables.renderUpdateTimes(rows))
     for (r <- rows) {
-      assert(r.delNsPerOp >= 0 && r.insNsPerOp >= 0 && r.mixNsPerOp >= 0)
+      for (t <- Seq(r.del, r.ins, r.mix)) assert(t.meanNs >= 0 && t.p50Ns >= 0 && t.p50Ns <= t.p99Ns)
     }
   }
 }

@@ -166,9 +166,23 @@ object Tables {
   // Tables VII & VIII (+ Fig. 7) — dynamic maintenance
   // ------------------------------------------------------------------
 
+  /** Per-operation times of one update stream (ns): mean, p50, p99. */
+  final case class OpTimes(meanNs: Long, p50Ns: Long, p99Ns: Long)
+
+  object OpTimes {
+    /** Run `op` on each element of `xs`, timing each call; the
+      * percentiles are nearest-rank.
+      */
+    def time[A](xs: Seq[A])(op: A => Unit): OpTimes = {
+      val ns = xs.iterator.map { x => val t = System.nanoTime(); op(x); System.nanoTime() - t }.toArray.sorted
+      def pct(p: Int) = ns((ns.length * p + 99) / 100 - 1)
+      if (ns.isEmpty) OpTimes(0, 0, 0) else OpTimes(ns.sum / ns.length, pct(50), pct(99))
+    }
+  }
+
   final case class DynamicRow(name: String, k: Int,
                               indexMs: Double, indexSize: Long,
-                              delNsPerOp: Long, insNsPerOp: Long, mixNsPerOp: Long,
+                              del: OpTimes, ins: OpTimes, mix: OpTimes,
                               afterDelDelta: Int, afterInsDelta: Int, afterMixDelta: Int)
 
   /** Run the three update workloads of §VI-E on one dataset and k.
@@ -204,18 +218,14 @@ object Tables {
     val indexSize = dp.indexSize
 
     // --- deletion workload
-    val t0 = System.nanoTime()
-    delEdges.foreach { case (u, v) => dp.deleteEdge(u, v) }
-    val delNs = System.nanoTime() - t0
+    val del = OpTimes.time(delEdges) { case (u, v) => dp.deleteEdge(u, v) }
     val afterDel = dp.size
     val gDel = dp.g.toCsr
     Validation.ensureValid(gDel, dp.result, s"${spec.name} k=$k dynamic after deletions")
     val scratchDel = lpOn(spark, gDel, k).size
 
     // --- insertion workload (restores the original graph)
-    val t1 = System.nanoTime()
-    delEdges.foreach { case (u, v) => dp.insertEdge(u, v) }
-    val insNs = System.nanoTime() - t1
+    val ins = OpTimes.time(delEdges) { case (u, v) => dp.insertEdge(u, v) }
     val afterIns = dp.size
     Validation.ensureValid(g, dp.result, s"${spec.name} k=$k dynamic after insertions")
     val scratchIns = initial.size // graph is back to the original
@@ -230,9 +240,7 @@ object Tables {
     dp2.initialize(lpOn(spark, gPrime.toCsr, k))
     val ops: Seq[(Boolean, (Int, Int))] =
       rnd.shuffle(mixDelPool.map(e => (true, e)) ++ mixDelOther.map(e => (false, e)))
-    val t2 = System.nanoTime()
-    ops.foreach { case (ins, (u, v)) => if (ins) dp2.insertEdge(u, v) else dp2.deleteEdge(u, v) }
-    val mixNs = System.nanoTime() - t2
+    val mix = OpTimes.time(ops) { case (isIns, (u, v)) => if (isIns) dp2.insertEdge(u, v) else dp2.deleteEdge(u, v) }
     val afterMix = dp2.size
     val gMix = dp2.g.toCsr
     Validation.ensureValid(gMix, dp2.result, s"${spec.name} k=$k dynamic after mixed updates")
@@ -241,9 +249,7 @@ object Tables {
     DynamicRow(spec.name, k,
       indexMs = indexNs / 1e6,
       indexSize = indexSize,
-      delNsPerOp = if (u1 > 0) delNs / u1 else 0,
-      insNsPerOp = if (u1 > 0) insNs / u1 else 0,
-      mixNsPerOp = if (ops.nonEmpty) mixNs / ops.length else 0,
+      del = del, ins = ins, mix = mix,
       afterDelDelta = afterDel - scratchDel,
       afterInsDelta = afterIns - scratchIns,
       afterMixDelta = afterMix - scratchMix)
@@ -275,10 +281,11 @@ object Tables {
       })
   }
 
-  /** Fig. 7 companion: average update time (ns/op). */
+  /** Fig. 7 companion: update time per operation (ns): mean, p50, p99. */
   def renderUpdateTimes(rows: Seq[DynamicRow]): String =
     Runner.formatTable(
-      Seq("Dataset", "k", "del ns/op", "ins ns/op", "mix ns/op"),
-      rows.map(r => Seq(r.name, r.k.toString, r.delNsPerOp.toString,
-                        r.insNsPerOp.toString, r.mixNsPerOp.toString)))
+      Seq("Dataset", "k") ++ Seq("del", "ins", "mix").flatMap(w =>
+        Seq(s"$w ns/op", s"$w p50", s"$w p99")),
+      rows.map(r => Seq(r.name, r.k.toString) ++ Seq(r.del, r.ins, r.mix).flatMap(t =>
+        Seq(t.meanNs, t.p50Ns, t.p99Ns).map(_.toString))))
 }

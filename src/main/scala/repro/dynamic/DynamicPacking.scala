@@ -11,22 +11,23 @@ import scala.collection.mutable
   *  - `cliqueOf`:  node → owning clique id, or -1 for *free* nodes
   *  - `candidates`: per-clique candidate index (Algorithm 5) — every
   *    k-clique whose nodes are free or belong to that one clique, with at
-  *    least one free and at least one clique node
-  *  - `candByNode`: inverted index for surgical invalidation
+  *    least one free and at least one clique node; no empty sets are kept
+  *  - `candByNode`: node → the index entries containing it, exactly the
+  *    inversion of `candidates`
   *
   * Operations: `insertEdge` (Algorithm 6), `deleteEdge` (Algorithm 7),
   * both funnelling improvement attempts through `trySwap` (Algorithm 4).
   *
   * Every clique search here runs `CliqueSearch` on the subgraph induced
   * by a small sorted pool of nodes (`poolSearch`): C ∪ N_F(C) for a
-  * host's candidates, N_F(u) ∩ N_F(v) ∪ {u,v} for an inserted edge and
-  * {x} ∪ N_F(x) for recovery.
+  * host's candidates, and a prefix plus the free nodes adjacent to all of
+  * it for a free clique through an inserted edge or a freed node.
   *
-  * Index maintenance deviates from the paper only in granularity
-  * (DESIGN.md §3.4): instead of searching for "new candidates containing
-  * ⟨u,v⟩" we recompute the candidate sets of the provably sufficient set
-  * of affected host cliques — tests assert the index stays identical to
-  * a from-scratch Algorithm 5 construction after every update.
+  * A deletion that keeps S only drops the candidates through the deleted
+  * edge. Freeing nodes and inserting an edge recompute the candidate sets
+  * of the affected hosts instead of searching for the new candidates only
+  * (DESIGN.md §3.4). Tests assert the index stays identical to a
+  * from-scratch Algorithm 5 construction after every update.
   */
 final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
@@ -42,7 +43,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   private var nextId = 0
 
   val candidates = mutable.HashMap.empty[Int, mutable.HashSet[Cand]]
-  private val candByNode: Array[mutable.HashSet[(Int, Cand)]] =
+  private[dynamic] val candByNode: Array[mutable.HashSet[(Int, Cand)]] =
     Array.fill(g.n)(mutable.HashSet.empty[(Int, Cand)])
 
   /** Number of swap rounds performed (bench statistic). */
@@ -54,11 +55,23 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
   /** Install a statically computed S (e.g. from Lightweight) and build
     * the candidate index (Algorithm 5). Returns the index build time in
-    * nanoseconds (Table VII).
+    * nanoseconds (Table VII). Throws `IllegalArgumentException` when a
+    * clique of S is not k distinct, free, pairwise adjacent nodes of `g`.
     */
   def initialize(result: DisjointResult): Long = {
-    require(result.k == k)
+    require(result.k == k, s"S holds ${result.k}-cliques, the packing k=$k")
     for (c <- result.cliques) {
+      def bad(why: String) = s"clique ${c.mkString("(", ",", ")")}: $why"
+      require(c.length == k, bad(s"${c.length} nodes, not $k"))
+      for (i <- 0 until k) {
+        val x = c(i)
+        require(x >= 0 && x < g.n, bad(s"node $x is outside [0, ${g.n})"))
+        require(cliqueOf(x) == -1, bad(s"node $x is already owned"))
+        for (j <- 0 until i) {
+          require(c(j) != x, bad(s"node $x appears twice"))
+          require(g.hasEdge(c(j), x), bad(s"nodes ${c(j)} and $x are not adjacent"))
+        }
+      }
       val id = nextId; nextId += 1
       cliques(id) = c.clone()
       c.foreach(cliqueOf(_) = id)
@@ -125,24 +138,18 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     gained
   }
 
-  private def dropAllCandidates(cid: Int): Unit =
-    setCandidates(cid, mutable.HashSet.empty[Cand])
-
-  /** Surgically remove every index entry containing node `x` (used when
-    * a free node becomes clique-owned: such entries can only die, never
-    * be created, so no rebuild is needed).
+  /** Remove every index entry containing node `x` and, when `y >= 0`,
+    * also node `y`. Such entries can only die, never be created, when `x`
+    * becomes clique-owned or the edge ⟨x,y⟩ is deleted, so no host is
+    * rebuilt.
     */
-  private def dropCandidatesContaining(x: Int): Unit = {
-    val entries = candByNode(x).toArray
-    for ((cid, cand) <- entries) {
-      candidates.get(cid).foreach { set =>
-        if (set.remove(cand)) {
-          cand.foreach(v => candByNode(v) -= ((cid, cand)))
-          if (set.isEmpty) candidates.remove(cid)
-        }
-      }
+  private def dropThrough(x: Int, y: Int = -1): Unit =
+    for ((cid, cand) <- candByNode(x).toArray if y < 0 || cand.contains(y)) {
+      val set = candidates(cid)
+      set -= cand
+      if (set.isEmpty) candidates.remove(cid)
+      cand.foreach(v => candByNode(v) -= ((cid, cand)))
     }
-  }
 
   /** Host cliques owning a neighbour of `x` — exactly the cliques whose
     * free-neighbourhood (and hence candidate set) can involve `x`.
@@ -173,7 +180,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     val id = nextId; nextId += 1
     val arr = nodes.toArray.sorted
     cliques(id) = arr
-    arr.foreach { x => cliqueOf(x) = id; dropCandidatesContaining(x) }
+    arr.foreach { x => cliqueOf(x) = id; dropThrough(x) }
     setCandidates(id, candidatesFor(id))
     id
   }
@@ -182,12 +189,10 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     * Returns the hosts that gained candidates from the freed nodes.
     */
   private def removeClique(cid: Int): Set[Int] = {
-    val nodes = cliques.remove(cid).getOrElse(return Set.empty)
-    dropAllCandidates(cid)
+    val nodes = cliques.remove(cid).get
+    setCandidates(cid, mutable.HashSet.empty[Cand])
     nodes.foreach(cliqueOf(_) = -1)
-    val affected = mutable.HashSet.empty[Int]
-    nodes.foreach(x => affected ++= hostsAdjacentTo(x))
-    rebuildHosts(affected)
+    rebuildHosts(nodes.flatMap(hostsAdjacentTo))
   }
 
   // ------------------------------------------------------------------
@@ -208,36 +213,21 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     while (q.nonEmpty) {
       val cid = q.dequeue()
       inQueue -= cid
-      if (cliques.contains(cid)) {
-        val cands = validatedCandidates(cid)
-        if (cands.size >= 2) {
-          val sdis = DynamicPacking.bestDisjointSubset(cands)
-          if (sdis.size > 1) {
-            swapCount += 1
-            val gained = removeClique(cid)
-            gained.foreach(push)
-            for (cand <- sdis) {
-              if (cand.forall(cliqueOf(_) == -1)) {
-                val id = addClique(cand)
-                if (candidates.contains(id)) push(id)
-              }
-            }
+      // the index is exact, so a host with candidates is still in S and
+      // every candidate is a live k-clique of free and host nodes
+      for (set <- candidates.get(cid) if set.size >= 2) {
+        val sdis = DynamicPacking.bestDisjointSubset(
+          set.toSeq.sorted(DynamicPacking.candOrdering), cliques(cid))
+        if (sdis.size > 1) {
+          swapCount += 1
+          removeClique(cid).foreach(push)
+          for (cand <- sdis) {
+            val id = addClique(cand)
+            if (candidates.contains(id)) push(id)
           }
         }
       }
     }
-  }
-
-  /** Candidates of a host revalidated against the current graph/state —
-    * belt-and-braces: index maintenance should keep these true already.
-    */
-  private def validatedCandidates(cid: Int): Seq[Vector[Int]] = {
-    candidates.getOrElse(cid, mutable.HashSet.empty[Cand]).toSeq
-      .filter { cand =>
-        cand.forall(v => cliqueOf(v) == -1 || cliqueOf(v) == cid) &&
-        cand.indices.forall(i => (i + 1 until cand.length).forall(j => g.hasEdge(cand(i), cand(j))))
-      }
-      .sorted(DynamicPacking.candOrdering)
   }
 
   // ------------------------------------------------------------------
@@ -245,48 +235,29 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // ------------------------------------------------------------------
 
   def insertEdge(u: Int, v: Int): Unit = {
+    checkEdge(u, v)
     if (!g.addEdge(u, v)) return
     val cu = cliqueOf(u); val cv = cliqueOf(v)
-    (cu, cv) match {
-      case (-1, -1) =>
-        findFreeCliqueWithEdge(u, v) match {
-          case Some(cliqueNodes) =>
-            // both free and a fully-free clique exists: add directly, no
-            // TrySwap (no other clique gains candidates from this).
-            addClique(cliqueNodes)
-          case None =>
-            // the new edge may create candidates for hosts seeing both
-            // u and v as free neighbours
-            val affected = hostsAdjacentTo(u) intersect hostsAdjacentTo(v)
-            val gained = rebuildHosts(affected)
-            if (gained.nonEmpty) trySwap(gained)
-        }
-      case (-1, h) =>
-        // u free, v owned by h: new candidates must contain ⟨u,v⟩, hence
-        // their non-free nodes lie in h — only h's set can change.
-        val gained = rebuildHosts(Seq(h))
-        if (gained.nonEmpty) trySwap(gained)
-      case (h, -1) =>
-        val gained = rebuildHosts(Seq(h))
-        if (gained.nonEmpty) trySwap(gained)
-      case _ =>
-        // both nodes already owned: a candidate may not span two cliques,
-        // so the index and S are untouched (paper: "nothing needs done").
-        ()
+    if (cu == -1 && cv == -1) firstFreeClique(Array(u, v)) match {
+      case Some(cliqueNodes) =>
+        // both free and a fully-free clique exists: add directly, no
+        // TrySwap (no other clique gains candidates from this).
+        addClique(cliqueNodes)
+      case None =>
+        // the new edge may create candidates for hosts seeing both
+        // u and v as free neighbours
+        rebuildAndSwap(hostsAdjacentTo(u) intersect hostsAdjacentTo(v))
     }
+    // one node free, the other owned by h: new candidates must contain
+    // ⟨u,v⟩, hence their non-free nodes lie in h — only h's set changes.
+    else if (cu == -1 || cv == -1) rebuildAndSwap(Seq(math.max(cu, cv)))
+    // both nodes already owned: a candidate may not span two cliques,
+    // so the index and S are untouched (paper: "nothing needs done").
   }
 
-  /** A k-clique of only free nodes containing the edge ⟨u,v⟩, if any —
-    * the direct-add case of Algorithm 6. Deterministic: the
-    * lexicographically first over ascending node ids.
-    */
-  private def findFreeCliqueWithEdge(u: Int, v: Int): Option[Seq[Int]] = {
-    val b = mutable.ArrayBuilder.make[Int]
-    b += u; b += v
-    g.foreachNeighbor(u) { w =>
-      if (w != v && cliqueOf(w) == -1 && g.hasEdge(v, w)) b += w
-    }
-    firstExtending(b.result(), Array(u, v))
+  private def rebuildAndSwap(hosts: Iterable[Int]): Unit = {
+    val gained = rebuildHosts(hosts)
+    if (gained.nonEmpty) trySwap(gained)
   }
 
   // ------------------------------------------------------------------
@@ -294,9 +265,10 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // ------------------------------------------------------------------
 
   def deleteEdge(u: Int, v: Int): Unit = {
+    checkEdge(u, v)
     if (!g.removeEdge(u, v)) return
-    val cu = cliqueOf(u); val cv = cliqueOf(v)
-    if (cu != -1 && cu == cv) {
+    val cu = cliqueOf(u)
+    if (cu != -1 && cu == cliqueOf(v)) {
       // the deleted edge splits a clique of S
       val freed = cliques(cu).clone()
       val gained = removeClique(cu)
@@ -306,46 +278,20 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       val recovered = recoverFree(freed.toSeq)
       trySwap(gained ++ recovered)
     } else {
-      // candidates containing ⟨u,v⟩ die; hosts that could reference both
-      // endpoints are the owners (if any) or, for two free endpoints,
-      // hosts seeing both as free neighbours.
-      val affected: Set[Int] =
-        if (cu != -1 && cv != -1) Set.empty // two different cliques: no candidate spans them
-        else if (cu != -1) Set(cu)
-        else if (cv != -1) Set(cv)
-        else hostsAdjacentTo(u) intersect hostsAdjacentTo(v)
-      rebuildHosts(affected) // pure shrink: nothing to push
+      // S is intact: exactly the candidates containing ⟨u,v⟩ die, and a
+      // deletion creates none, so nothing is pushed
+      dropThrough(u, v)
     }
   }
 
-  /** Greedily add all-free cliques containing any of the seed nodes
-    * (deterministic: ascending seeds, first-found cliques). Returns the
-    * ids of the cliques added.
+  /** For each seed node still free, in ascending order, add the first
+    * all-free k-clique containing it, if any. Returns the ids added.
     */
-  private def recoverFree(seeds: Seq[Int]): Seq[Int] = {
-    val added = mutable.ArrayBuffer.empty[Int]
-    for (x <- seeds.sorted) {
-      var found = true
-      while (found && cliqueOf(x) == -1) {
-        found = false
-        findFreeCliqueAt(x) match {
-          case Some(nodes) =>
-            added += addClique(nodes)
-            found = true
-          case None => ()
-        }
-      }
-    }
-    added.toSeq
-  }
+  private def recoverFree(seeds: Seq[Int]): Seq[Int] =
+    seeds.sorted.flatMap(x => if (cliqueOf(x) != -1) None else firstFreeClique(Array(x)).map(addClique))
 
-  /** First (ascending-id) all-free k-clique containing node `x`. */
-  private def findFreeCliqueAt(x: Int): Option[Seq[Int]] = {
-    val b = mutable.ArrayBuilder.make[Int]
-    b += x
-    g.foreachNeighbor(x) { w => if (cliqueOf(w) == -1) b += w }
-    firstExtending(b.result(), Array(x))
-  }
+  private def checkEdge(u: Int, v: Int): Unit =
+    require(u >= 0 && u < g.n && v >= 0 && v < g.n, s"edge ($u,$v) has a node outside [0, ${g.n})")
 
   // ------------------------------------------------------------------
   // Clique search over a local pool of nodes
@@ -381,11 +327,21 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     new CliqueSearch(new CsrGraph(p, offsets, Arrays.copyOf(poolAdj, len)), k)
   }
 
-  /** The lexicographically first k-clique made of `prefix` and other
-    * nodes of `nodes`, which holds `prefix` and nodes adjacent to all of it.
+  /** The lexicographically first all-free k-clique containing the free
+    * clique `prefix` (prefix first, then ascending ids), if any. Its pool
+    * is `prefix` and the free nodes adjacent to all of it.
     */
-  private def firstExtending(nodes: Array[Int], prefix: Array[Int]): Option[Seq[Int]] = {
-    val pool = sortedDistinct(nodes)
+  private def firstFreeClique(prefix: Array[Int]): Option[Seq[Int]] = {
+    val b = mutable.ArrayBuilder.make[Int]
+    b ++= prefix
+    g.foreachNeighbor(prefix(0)) { w =>
+      if (cliqueOf(w) == -1) {
+        var i = 1 // hasEdge is false for w itself, so prefix nodes drop out
+        while (i < prefix.length && g.hasEdge(prefix(i), w)) i += 1
+        if (i == prefix.length) b += w
+      }
+    }
+    val pool = sortedDistinct(b.result())
     if (pool.length < k) return None
     val search = poolSearch(pool)
     val pre = prefix.map(Arrays.binarySearch(pool, _))
@@ -406,48 +362,37 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
 object DynamicPacking {
 
-  val candOrdering: Ordering[Vector[Int]] = new Ordering[Vector[Int]] {
-    override def compare(a: Vector[Int], b: Vector[Int]): Int = {
-      var i = 0
-      while (i < a.length && i < b.length) {
-        if (a(i) != b(i)) return Integer.compare(a(i), b(i))
-        i += 1
-      }
-      Integer.compare(a.length, b.length)
-    }
-  }
+  /** Lexicographic order of candidates: TrySwap's include-first order. */
+  val candOrdering: Ordering[Vector[Int]] = Ordering.Implicits.seqOrdering[Vector, Int]
 
-  /** Maximum disjoint subset of a (small) candidate list: exact search
-    * for ≤ `exactLimit` cliques, greedy fewest-conflicts otherwise.
-    * Deterministic given the input order.
+  /** A maximum disjoint subset of `cands`, every one of which contains at
+    * least one node of the host clique `host`. Exact: include-first
+    * search in input order, so ties go to the lexicographically smallest
+    * list of input positions. Disjoint candidates cover distinct host
+    * nodes, so a branch stops when its chosen count plus
+    * min(candidates left, host nodes not yet covered) cannot beat the best.
     */
-  def bestDisjointSubset(cands: Seq[Vector[Int]], exactLimit: Int = 20): Seq[Vector[Int]] = {
+  def bestDisjointSubset(cands: Seq[Vector[Int]], host: Array[Int]): Seq[Vector[Int]] = {
     val cs = cands.toIndexedSeq
     val nc = cs.length
-    if (nc == 0) return Seq.empty
-    val conflict = Array.ofDim[Boolean](nc, nc)
-    for (i <- 0 until nc; j <- (i + 1) until nc) {
-      val shared = cs(i).exists(cs(j).toSet)
-      conflict(i)(j) = shared
-      conflict(j)(i) = shared
+    val hostHits = cs.map { c =>
+      val hits = c.count(host.contains)
+      require(hits > 0, s"candidate ${c.mkString(",")} has no node of host ${host.mkString(",")}")
+      hits
     }
-    if (nc <= exactLimit) {
-      var best = List.empty[Int]
-      def rec(idx: Int, chosen: List[Int]): Unit = {
-        if (chosen.size + (nc - idx) <= best.size) return
-        if (idx == nc) { if (chosen.size > best.size) best = chosen; return }
-        if (chosen.forall(c => !conflict(c)(idx))) rec(idx + 1, idx :: chosen)
-        rec(idx + 1, chosen)
+    var best = List.empty[Int]
+    var bestSize = 0
+    // `chosen` (newest first) is disjoint, so it covers `covered` host nodes
+    def rec(from: Int, chosen: List[Int], size: Int, covered: Int): Unit = {
+      var i = from
+      while (i < nc && size + math.min(nc - i, host.length - covered) > bestSize) {
+        if (chosen.forall(c => !cs(c).exists(cs(i).contains)))
+          rec(i + 1, i :: chosen, size + 1, covered + hostHits(i))
+        i += 1
       }
-      rec(0, Nil)
-      best.reverse.map(cs(_))
-    } else {
-      val degree = (0 until nc).map(i => conflict(i).count(identity))
-      val order = (0 until nc).sortBy(i => (degree(i), cs(i)))(
-        Ordering.Tuple2(Ordering.Int, candOrdering))
-      val taken = mutable.ArrayBuffer.empty[Int]
-      for (i <- order) if (taken.forall(t => !conflict(t)(i))) taken += i
-      taken.sorted.map(cs(_)).toSeq
+      if (size > bestSize) { best = chosen; bestSize = size }
     }
+    rec(0, Nil, 0, 0)
+    best.reverse.map(cs(_))
   }
 }

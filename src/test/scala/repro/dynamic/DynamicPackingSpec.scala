@@ -2,20 +2,28 @@ package repro.dynamic
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import scala.collection.mutable
 import scala.util.Random
 
 class DynamicPackingSpec extends AnyFunSuite {
 
-  /** Index parity: incremental candidate index == from-scratch Alg. 5. */
+  /** Index parity: incremental candidate index == from-scratch Alg. 5,
+    * with no empty sets and `candByNode` exactly its inversion.
+    */
   private def assertIndexParity(dp: DynamicPacking, ctx: String): Unit = {
     for (cid <- dp.cliques.keys) {
       val scratch = dp.candidatesFor(cid)
-      val incr = dp.candidates.getOrElse(cid, scala.collection.mutable.HashSet.empty[Vector[Int]])
+      val incr = dp.candidates.getOrElse(cid, mutable.HashSet.empty[Vector[Int]])
       assert(incr == scratch,
         s"$ctx: index parity broken for clique $cid:\n incr=$incr\n scratch=$scratch")
     }
     // no stale entries for removed cliques
     for (cid <- dp.candidates.keys) assert(dp.cliques.contains(cid), s"$ctx: stale host $cid")
+    for ((cid, set) <- dp.candidates) assert(set.nonEmpty, s"$ctx: empty set kept for host $cid")
+    val inverted = Array.fill(dp.g.n)(mutable.HashSet.empty[(Int, Vector[Int])])
+    for ((cid, set) <- dp.candidates; cand <- set; v <- cand) inverted(v) += ((cid, cand))
+    for (v <- 0 until dp.g.n)
+      assert(dp.candByNode(v) == inverted(v), s"$ctx: candByNode($v) is not the inversion of candidates")
   }
 
   /** S validity: every clique real & pairwise disjoint in the live graph. */
@@ -150,7 +158,7 @@ class DynamicPackingSpec extends AnyFunSuite {
 
   // ------------------------------------------- randomised soak tests
 
-  for (k <- 3 to 5; seed <- 0 until 4) {
+  for (k <- 3 to 6; seed <- 0 until 4) {
     test(s"random update soak: validity + index parity + maximality, k=$k seed=$seed") {
       val n = 24
       val g = TestGraphs.randomGraph(n, 0.4, 5000L * k + seed)
@@ -158,17 +166,26 @@ class DynamicPackingSpec extends AnyFunSuite {
       assertValid(dp, "init")
       assertIndexParity(dp, "init")
       val rnd = new Random(9000L * k + seed)
+      val stream = mutable.ArrayBuffer.empty[(Boolean, Int, Int)]
+      def apply(p: DynamicPacking, op: (Boolean, Int, Int)): Unit =
+        if (op._1) p.insertEdge(op._2, op._3) else p.deleteEdge(op._2, op._3)
       for (step <- 0 until 60) {
         val u = rnd.nextInt(n)
         val v = rnd.nextInt(n)
         if (u != v) {
-          if (rnd.nextBoolean()) dp.insertEdge(u, v) else dp.deleteEdge(u, v)
+          stream += ((rnd.nextBoolean(), u, v))
+          apply(dp, stream.last)
           assertValid(dp, s"step $step")
           assertIndexParity(dp, s"step $step")
           // S must stay maximal: the maintained invariant of Section V
           assert(Validation.isMaximal(dp.g.toCsr, dp.result), s"step $step not maximal")
         }
       }
+      // the same stream on a fresh packing gives the same S, clique for clique
+      val replay = initFromStatic(g, k)
+      stream.foreach(apply(replay, _))
+      assert(replay.result.cliques.map(_.toSeq) == dp.result.cliques.map(_.toSeq))
+      assert(replay.swapCount == dp.swapCount)
     }
   }
 
@@ -191,25 +208,80 @@ class DynamicPackingSpec extends AnyFunSuite {
   test("bestDisjointSubset: exact on small candidate lists") {
     val cands = Seq(
       Vector(1, 2, 3), Vector(3, 4, 5), Vector(4, 5, 6), Vector(7, 8, 9))
-    val best = DynamicPacking.bestDisjointSubset(cands)
+    val best = DynamicPacking.bestDisjointSubset(cands, Array(3, 6, 9))
     assert(best.size == 3) // {1,2,3},{4,5,6},{7,8,9}
     assert(best.toSet == Set(Vector(1, 2, 3), Vector(4, 5, 6), Vector(7, 8, 9)))
   }
 
   test("bestDisjointSubset: empty and singleton inputs") {
-    assert(DynamicPacking.bestDisjointSubset(Seq.empty).isEmpty)
-    assert(DynamicPacking.bestDisjointSubset(Seq(Vector(1, 2, 3))).size == 1)
+    assert(DynamicPacking.bestDisjointSubset(Seq.empty, Array(1, 2, 3)).isEmpty)
+    assert(DynamicPacking.bestDisjointSubset(Seq(Vector(1, 2, 3)), Array(3, 4, 5)).size == 1)
   }
 
-  test("bestDisjointSubset: greedy path on large input stays disjoint") {
-    val rnd = new Random(4)
-    val cands = (0 until 40).map { _ =>
-      val s = scala.collection.mutable.SortedSet.empty[Int]
-      while (s.size < 3) s += rnd.nextInt(25)
-      s.toVector
-    }.distinct
-    val best = DynamicPacking.bestDisjointSubset(cands, exactLimit = 10)
-    for (i <- best.indices; j <- (i + 1) until best.length)
-      assert(best(i).intersect(best(j)).isEmpty)
+  /** Brute force: the first of the maximum-size disjoint subsets (at most
+    * `k` members) in lexicographic order of their sorted position lists.
+    */
+  private def bruteBestDisjoint(cs: IndexedSeq[Vector[Int]], k: Int): Vector[Int] = {
+    var best = Vector.empty[Int]
+    def grow(picked: Vector[Int], from: Int): Unit = {
+      if (picked.size > best.size) best = picked
+      if (picked.size < k)
+        for (j <- from until cs.length if picked.forall(i => cs(i).intersect(cs(j)).isEmpty))
+          grow(picked :+ j, j + 1)
+    }
+    grow(Vector.empty, 0)
+    best
+  }
+
+  for (k <- 3 to 5) {
+    test(s"bestDisjointSubset: exact vs brute force on 21-60 candidates meeting a host, k=$k") {
+      val rnd = new Random(600L + k)
+      for (_ <- 0 until 40) {
+        val host = rnd.shuffle((0 until 3 * k).toVector).take(k).sorted
+        val others = (0 until 3 * k).filterNot(host.contains)
+        val target = 21 + rnd.nextInt(40)
+        val cands = mutable.LinkedHashSet.empty[Vector[Int]]
+        while (cands.size < target) {
+          val inHost = 1 + rnd.nextInt(k - 1)
+          cands += (rnd.shuffle(host).take(inHost) ++ rnd.shuffle(others).take(k - inHost)).sorted
+        }
+        val cs = cands.toIndexedSeq
+        val got = DynamicPacking.bestDisjointSubset(cs, host.toArray)
+        assert(got == bruteBestDisjoint(cs, k).map(cs), s"host=$host cands=$cs")
+      }
+    }
+  }
+
+  // ------------------------------------------------ boundary checks
+
+  test("initialize rejects a clique without k distinct nodes") {
+    val g = DynamicGraph.fromCsr(TestGraphs.fig5G1)
+    intercept[IllegalArgumentException](
+      new DynamicPacking(g, 3).initialize(DisjointResult(3, Vector(Array(2, 3, 3)))))
+    intercept[IllegalArgumentException](
+      new DynamicPacking(g, 3).initialize(DisjointResult(3, Vector(Array(2, 3)))))
+  }
+
+  test("initialize rejects a node out of range or already owned") {
+    val g = DynamicGraph.fromCsr(TestGraphs.fig5G1)
+    intercept[IllegalArgumentException](
+      new DynamicPacking(g, 3).initialize(DisjointResult(3, Vector(Array(2, 3, g.n)))))
+    intercept[IllegalArgumentException](
+      new DynamicPacking(g, 3).initialize(DisjointResult(3, Vector(Array(0, 1, 2), Array(2, 3, 4)))))
+  }
+
+  test("initialize rejects nodes that are not pairwise adjacent") {
+    val dp = new DynamicPacking(DynamicGraph.fromCsr(TestGraphs.fig5G1), 3)
+    assert(!dp.g.hasEdge(0, 8))
+    intercept[IllegalArgumentException](dp.initialize(DisjointResult(3, Vector(Array(0, 1, 8)))))
+  }
+
+  test("insertEdge and deleteEdge reject node ids outside [0, n)") {
+    val dp = fig5Packing()
+    for ((u, v) <- Seq((-1, 0), (0, dp.g.n))) {
+      intercept[IllegalArgumentException](dp.insertEdge(u, v))
+      intercept[IllegalArgumentException](dp.deleteEdge(u, v))
+    }
+    assertIndexParity(dp, "after rejected updates")
   }
 }
