@@ -26,7 +26,10 @@ object MemoryModel {
   def hgBytes(g: CsrGraph): Long = baseBytes(g)
 
   /** node scores (8n) + min-heap entries: ≤ one per source node, each an
-    * Entry object with a k-int array.
+    * entry object with a k-int array. This models the paper's heap
+    * entries, and it feeds `gcBytes` and the OOM gate, so it stays as is;
+    * the code holds flat slots instead, 8n + 4kn + 4n bytes (scores,
+    * cliques, heap of sources).
     */
   def lpBytes(g: CsrGraph, k: Int): Long =
     baseBytes(g) + 8L * g.n + g.n.toLong * (objHeader + 8 + 4 + arrayHeader + 4L * k)

@@ -3,12 +3,20 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core._
 
-/** One algorithm's outcome on one (dataset, k) cell. */
+/** One algorithm's outcome on one (dataset, k) cell; L and LP cells also
+  * carry their `Lightweight.Stats`.
+  */
 final case class AlgoCell(status: String, size: Int = -1, millis: Long = -1,
-                          modelMB: Double = -1.0) {
+                          modelMB: Double = -1.0, lpStats: Option[Lightweight.Stats] = None) {
   def sizeStr: String = if (status == "ok") size.toString else status
   def timeStr: String = if (status == "ok") millis.toString else status
   def memStr: String = if (modelMB >= 0) f"$modelMB%.1f" else status
+  def findMinStr: String = lpStats.fold(status)(_.findMinCalls.toString)
+  /** Stale pops over all pops; every pop is either stale or selects a clique. */
+  def staleRatioStr: String = lpStats.fold(status) { st =>
+    val pops = st.stalePops + size
+    if (pops == 0) "-" else f"${st.stalePops.toDouble / pops}%.2f"
+  }
 }
 
 /** All algorithms evaluated on one (dataset, k) cell (Tables II/III and
@@ -64,15 +72,15 @@ object Runner {
     val l =
       if (!runL) AlgoCell("skip", modelMB = lpModelMB)
       else {
-        val (res, ms) = timed(Lightweight.run(g, k, sn, PruneMode.NoPrune)._1)
+        val ((res, st), ms) = timed(Lightweight.run(g, k, sn, PruneMode.NoPrune))
         Validation.ensureValid(g, res, s"$name k=$k L")
-        AlgoCell("ok", res.size, snMs + ms, lpModelMB)
+        AlgoCell("ok", res.size, snMs + ms, lpModelMB, Some(st))
       }
 
     // LP — lightweight with the paper's score-driven pruning
-    val (lpRes, lpMs) = timed(Lightweight.run(g, k, sn, PruneMode.Paper)._1)
+    val ((lpRes, lpSt), lpMs) = timed(Lightweight.run(g, k, sn, PruneMode.Paper))
     Validation.ensureValid(g, lpRes, s"$name k=$k LP")
-    val lp = AlgoCell("ok", lpRes.size, snMs + lpMs, lpModelMB)
+    val lp = AlgoCell("ok", lpRes.size, snMs + lpMs, lpModelMB, Some(lpSt))
 
     // OPT — exact MIS on the clique graph (small inputs only)
     val opt =

@@ -82,12 +82,16 @@ object Tables {
     Runner.formatTable(header, body)
   }
 
-  /** Fig. 6 companion: running time per algorithm (ms). */
+  /** Fig. 6 companion: running time per algorithm (ms), and for L and LP
+    * the FindMin calls and the share of heap pops that were stale.
+    */
   def renderRuntimes(rows: Seq[EvalRow]): String =
     Runner.formatTable(
-      Seq("Name", "k", "tau", "HG ms", "GC ms", "L ms", "LP ms"),
+      Seq("Name", "k", "tau", "HG ms", "GC ms", "L ms", "LP ms",
+          "L FindMin", "L stale", "LP FindMin", "LP stale"),
       rows.map(r => Seq(r.dataset, r.k.toString, r.tau.toString,
-                        r.hg.timeStr, r.gc.timeStr, r.l.timeStr, r.lp.timeStr)))
+                        r.hg.timeStr, r.gc.timeStr, r.l.timeStr, r.lp.timeStr,
+                        r.l.findMinStr, r.l.staleRatioStr, r.lp.findMinStr, r.lp.staleRatioStr)))
 
   // ------------------------------------------------------------------
   // Table IV — LP vs exact OPT on small graphs

@@ -2,14 +2,6 @@ package repro.core
 
 import java.util.Arrays
 
-/** Outcome of Algorithm 3's `FindMin`: the clique rooted at `source`
-  * with the minimum (cliqueScore, canon) among valid nodes.
-  *
-  * `nodes` is the canonical form — node ids sorted ascending — which is
-  * also the global tie-break between cliques of equal score.
-  */
-final case class MinClique(score: Long, nodes: Array[Int], source: Int)
-
 /** How `findMin` prunes branches on partial score sums.
   *
   *  - `NoPrune`: plain enumeration (the paper's algorithm L).
@@ -60,7 +52,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   def validOutDegree(u: Int, valid: Array[Boolean]): Int = {
     if (valid == null) return dag.degree(u)
     var d = 0
-    dag.foreachNeighbor(u) { v => if (valid(v)) d += 1 }
+    var o = dag.offsets(u)
+    val end = dag.offsets(u + 1)
+    while (o < end) { if (valid(dag.adj(o))) d += 1; o += 1 }
     d
   }
 
@@ -129,8 +123,12 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     clique(0) = u
     val out = candBuf(0)
     var len = 0
-    dag.foreachNeighbor(u) { v =>
+    var o = dag.offsets(u)
+    val end = dag.offsets(u + 1)
+    while (o < end) {
+      val v = dag.adj(o)
       if (valid == null || valid(v)) { out(len) = v; len += 1 }
+      o += 1
     }
     len
   }
@@ -188,8 +186,10 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
 
   private var prune: PruneMode = PruneMode.NoPrune
   private var bestScore: Long = Long.MaxValue
-  private var bestNodes: Array[Int] = null
-  private val sorted = new Array[Int](k)
+  private var found: Boolean = false
+  /** The best clique so far, canonical; `sorted` is the leaf's scratch. */
+  private var best = new Array[Int](k)
+  private var sorted = new Array[Int](k)
 
   /** Keep the current clique if it beats the best (score, canon) so far;
     * on an improvement, tighten the prune limit to the new best score
@@ -197,12 +197,13 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     */
   private val minLeaf: Array[Int] => Unit = { c =>
     val score = leafScore
-    if (score <= bestScore) {
+    if (!found || score <= bestScore) {
       System.arraycopy(c, 0, sorted, 0, k)
       Arrays.sort(sorted)
-      if (score < bestScore || CliqueSearch.compareCanon(sorted, bestNodes) < 0) {
+      if (!found || score < bestScore || CliqueSearch.compareCanon(sorted, best) < 0) {
+        found = true
         bestScore = score
-        bestNodes = sorted.clone()
+        val t = best; best = sorted; sorted = t
         limit = prune match {
           case PruneMode.NoPrune => Long.MaxValue
           case PruneMode.Strict  => score
@@ -213,24 +214,32 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   }
 
   /** Find the clique rooted at `u` minimising (Σ s_n, canon), with the
-    * score-driven pruning strategy of Algorithm 3.
+    * score-driven pruning strategy of Algorithm 3. The clique, canonical
+    * (ids ascending, which is also the tie-break between equal scores),
+    * goes to `out[at, at+k)` and its score is returned; when u roots no
+    * clique among valid nodes, `out` is untouched and the result is
+    * [[CliqueSearch.NoClique]].
     */
-  def findMin(u: Int, valid: Array[Boolean], sn: Array[Long], prune: PruneMode): MinClique = {
+  def findMin(u: Int, valid: Array[Boolean], sn: Array[Long], prune: PruneMode,
+              out: Array[Int], at: Int): Long = {
     val len = root(u, valid)
-    if (len < 0) return null
+    if (len < 0) return CliqueSearch.NoClique
     this.prune = prune
-    bestScore = Long.MaxValue
-    bestNodes = null
+    found = false
     run(1, candBuf(0), len, sn(u), sn, minLeaf)
-    if (bestNodes == null) null else MinClique(bestScore, bestNodes, u)
+    if (!found) return CliqueSearch.NoClique
+    System.arraycopy(best, 0, out, at, k)
+    bestScore
   }
 }
 
 object CliqueSearch {
 
+  /** `findMin`'s result when the source roots no clique. */
+  val NoClique: Long = Long.MinValue
+
   /** Lexicographic comparison of canonical (ascending-sorted) cliques. */
   def compareCanon(a: Array[Int], b: Array[Int]): Int = {
-    if (b == null) return -1
     var i = 0
     while (i < a.length && i < b.length) {
       if (a(i) != b(i)) return Integer.compare(a(i), b(i))

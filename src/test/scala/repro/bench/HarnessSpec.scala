@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.TestGraphs
+import repro.core.{Lightweight, TestGraphs}
 
 class HarnessSpec extends AnyFunSuite {
 
@@ -33,6 +33,13 @@ class HarnessSpec extends AnyFunSuite {
     assert(AlgoCell("OOM").sizeStr == "OOM")
     assert(AlgoCell("OOT").timeStr == "OOT")
     assert(AlgoCell("ok", 5, 10, 1.25).memStr == "1.3")
+  }
+
+  test("AlgoCell renders the L/LP counters: FindMin calls and stale-pop ratio") {
+    val lp = AlgoCell("ok", 3, 10, 1.0, Some(Lightweight.Stats(findMinCalls = 8, heapPushes = 7, stalePops = 1)))
+    assert(lp.findMinStr == "8" && lp.staleRatioStr == "0.25")
+    assert(AlgoCell("ok", 0, 1, 1.0, Some(Lightweight.Stats(0, 0, 0))).staleRatioStr == "-")
+    assert(AlgoCell("skip").findMinStr == "skip" && AlgoCell("skip").staleRatioStr == "skip")
   }
 
   test("formatTable aligns columns and separators") {

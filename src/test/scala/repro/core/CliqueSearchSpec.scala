@@ -163,15 +163,18 @@ class CliqueSearchSpec extends AnyFunSuite {
         val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
         val byRoot = all.groupBy(c => c.maxBy(rank(_))) // root = highest-η node
         for (u <- 0 until g.n) {
-          val mc = search.findMin(u, null, sn, prune)
+          val slot = Array.fill(k + 2)(-7) // written only at [1, k+1)
+          val score = search.findMin(u, null, sn, prune, slot, 1)
           byRoot.get(u) match {
-            case None => assert(mc == null, s"u=$u")
+            case None =>
+              assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"u=$u")
             case Some(cs) =>
               val want = cs.map(c => (CliqueScoreGreedy.cliqueScore(c, sn), c.sorted))
                 .reduceLeft { (a, b) =>
                   if (b._1 < a._1 || (b._1 == a._1 && CliqueSearch.compareCanon(b._2, a._2) < 0)) b else a
                 }
-              assert(mc != null && mc.score == want._1 && mc.nodes.toSeq == want._2.toSeq, s"u=$u")
+              assert(score == want._1 && slot.slice(1, k + 1).toSeq == want._2.toSeq, s"u=$u")
+              assert(slot(0) == -7 && slot(k + 1) == -7, s"u=$u wrote outside its slot")
           }
         }
       }
@@ -189,13 +192,17 @@ class CliqueSearchSpec extends AnyFunSuite {
       val search = new CliqueSearch(dag, k)
       val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
       val byRoot = all.groupBy(c => c.maxBy(rank(_)))
+      val slots = new Array[Int](g.n * k)
       for (u <- 0 until g.n) {
-        val mc = search.findMin(u, null, sn, PruneMode.Paper)
+        val score = search.findMin(u, null, sn, PruneMode.Paper, slots, u * k)
         byRoot.get(u) match {
-          case None => assert(mc == null)
+          case None => assert(score == CliqueSearch.NoClique)
           case Some(cs) =>
             val minScore = cs.map(CliqueScoreGreedy.cliqueScore(_, sn)).min
-            assert(mc != null && mc.score == minScore, s"u=$u")
+            assert(score == minScore, s"u=$u")
+            val c = slots.slice(u * k, u * k + k)
+            assert(cs.exists(_.sorted.sameElements(c)), s"u=$u: slot holds no clique rooted at u")
+            assert(CliqueScoreGreedy.cliqueScore(c, sn) == minScore, s"u=$u")
         }
       }
     }
