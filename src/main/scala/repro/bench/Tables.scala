@@ -187,7 +187,8 @@ object Tables {
   final case class DynamicRow(name: String, k: Int,
                               indexMs: Double, indexSize: Long,
                               del: OpTimes, ins: OpTimes, mix: OpTimes,
-                              afterDelDelta: Int, afterInsDelta: Int, afterMixDelta: Int)
+                              afterDelDelta: Int, afterInsDelta: Int, afterMixDelta: Int,
+                              swapCount: Long)
 
   /** Run the three update workloads of §VI-E on one dataset and k.
     *
@@ -256,7 +257,8 @@ object Tables {
       del = del, ins = ins, mix = mix,
       afterDelDelta = afterDel - scratchDel,
       afterInsDelta = afterIns - scratchIns,
-      afterMixDelta = afterMix - scratchMix)
+      afterMixDelta = afterMix - scratchMix,
+      swapCount = dp.swapCount + dp2.swapCount)
   }
 
   def renderTableVII(rows: Seq[DynamicRow]): String = {
@@ -285,11 +287,13 @@ object Tables {
       })
   }
 
-  /** Fig. 7 companion: update time per operation (ns): mean, p50, p99. */
+  /** Fig. 7 companion: update time per operation (ns): mean, p50, p99,
+    * and the swaps TrySwap made over the three streams.
+    */
   def renderUpdateTimes(rows: Seq[DynamicRow]): String =
     Runner.formatTable(
       Seq("Dataset", "k") ++ Seq("del", "ins", "mix").flatMap(w =>
-        Seq(s"$w ns/op", s"$w p50", s"$w p99")),
+        Seq(s"$w ns/op", s"$w p50", s"$w p99")) :+ "swaps",
       rows.map(r => Seq(r.name, r.k.toString) ++ Seq(r.del, r.ins, r.mix).flatMap(t =>
-        Seq(t.meanNs, t.p50Ns, t.p99Ns).map(_.toString))))
+        Seq(t.meanNs, t.p50Ns, t.p99Ns).map(_.toString)) :+ r.swapCount.toString))
 }

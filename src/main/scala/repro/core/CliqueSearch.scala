@@ -248,39 +248,44 @@ object CliqueSearch {
     Integer.compare(a.length, b.length)
   }
 
-  /** Driver-side per-node k-clique counts (node scores, Definition 5). */
-  def countPerNode(dag: CsrGraph, k: Int): Array[Long] = {
-    val counts = new Array[Long](dag.n)
-    val search = new CliqueSearch(dag, k)
-    var u = 0
-    while (u < dag.n) {
+  // The source pass, written once: each `(search, sources)` form visits
+  // the cliques rooted at `sources`. A Spark partition runs it over its
+  // range of sources; the `(dag, k)` forms run it over every node.
+
+  /** Per-node counts of the cliques rooted at `sources` (node scores,
+    * Definition 5, when the sources are every node).
+    */
+  def countPerNode(search: CliqueSearch, sources: Iterator[Int]): Array[Long] = {
+    val counts = new Array[Long](search.dag.n)
+    val k = search.k
+    sources.foreach { u =>
       search.forEachFrom(u, null) { c =>
         var i = 0
         while (i < k) { counts(c(i)) += 1; i += 1 }
       }
-      u += 1
     }
     counts
   }
 
+  def countPerNode(dag: CsrGraph, k: Int): Array[Long] =
+    countPerNode(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
+
+  /** Number of cliques rooted at `sources`. */
+  def countTotal(search: CliqueSearch, sources: Iterator[Int]): Long =
+    sources.map(search.countFrom(_, null)).sum
+
   /** Total number of k-cliques in the DAG. */
-  def countTotal(dag: CsrGraph, k: Int): Long = {
-    val search = new CliqueSearch(dag, k)
-    var total = 0L
-    var u = 0
-    while (u < dag.n) { total += search.countFrom(u, null); u += 1 }
-    total
+  def countTotal(dag: CsrGraph, k: Int): Long =
+    countTotal(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
+
+  /** The cliques rooted at `sources`, flat and canonical (ids ascending). */
+  def listAll(search: CliqueSearch, sources: Iterator[Int]): Cliques = {
+    val out = new Cliques.Buffer(search.k)
+    sources.foreach(search.forEachFrom(_, null)(out.add))
+    Cliques(search.k, out.nodes)
   }
 
   /** Materialise every k-clique, flat and canonical (ids ascending). */
-  def listAll(dag: CsrGraph, k: Int): Cliques = {
-    val out = new Cliques.Buffer(k)
-    val search = new CliqueSearch(dag, k)
-    var u = 0
-    while (u < dag.n) {
-      search.forEachFrom(u, null)(out.add)
-      u += 1
-    }
-    Cliques(k, out.nodes)
-  }
+  def listAll(dag: CsrGraph, k: Int): Cliques =
+    listAll(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
 }

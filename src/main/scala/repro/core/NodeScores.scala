@@ -33,14 +33,7 @@ object NodeScores {
 
   def compute(spark: SparkSession, dag: CsrGraph, k: Int): Array[Long] =
     overSources(spark, dag, k) { (search, sources) =>
-      val local = new Array[Long](search.dag.n)
-      sources.foreach { u =>
-        search.forEachFrom(u, null) { c =>
-          var i = 0
-          while (i < k) { local(c(i)) += 1; i += 1 }
-        }
-      }
-      Iterator.single(local)
+      Iterator.single(CliqueSearch.countPerNode(search, sources))
     } {
       _.reduce { (a, b) =>
         var i = 0
@@ -57,7 +50,7 @@ object NodeScores {
   /** Distributed total count without the per-node breakdown. */
   def countTotal(spark: SparkSession, dag: CsrGraph, k: Int): Long =
     overSources(spark, dag, k) { (search, sources) =>
-      Iterator.single(sources.map(search.countFrom(_, null)).sum)
+      Iterator.single(CliqueSearch.countTotal(search, sources))
     }(_.reduce(_ + _))
 }
 
@@ -70,8 +63,6 @@ object SparkCliqueLister {
 
   def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques =
     NodeScores.overSources(spark, dag, k) { (search, sources) =>
-      val block = new Cliques.Buffer(k)
-      sources.foreach(search.forEachFrom(_, null)(block.add))
-      Iterator.single(block.nodes)
+      Iterator.single(CliqueSearch.listAll(search, sources).nodes)
     }(blocks => Cliques.concat(k, blocks.collect()))
 }

@@ -12,8 +12,6 @@ import scala.collection.mutable
   *  - `candidates`: per-clique candidate index (Algorithm 5) — every
   *    k-clique whose nodes are free or belong to that one clique, with at
   *    least one free and at least one clique node; no empty sets are kept
-  *  - `candByNode`: node → the index entries containing it, exactly the
-  *    inversion of `candidates`
   *
   * Operations: `insertEdge` (Algorithm 6), `deleteEdge` (Algorithm 7),
   * both funnelling improvement attempts through `trySwap` (Algorithm 4).
@@ -23,11 +21,14 @@ import scala.collection.mutable
   * host's candidates, and a prefix plus the free nodes adjacent to all of
   * it for a free clique through an inserted edge or a freed node.
   *
-  * A deletion that keeps S only drops the candidates through the deleted
-  * edge. Freeing nodes and inserting an edge recompute the candidate sets
-  * of the affected hosts instead of searching for the new candidates only
-  * (DESIGN.md §3.4). Tests assert the index stays identical to a
-  * from-scratch Algorithm 5 construction after every update.
+  * An entry that dies is found through the hosts that can hold it: a
+  * candidate's owned nodes lie in its host, and each of its free nodes is
+  * adjacent to a node of its host. A deletion that keeps S only drops the
+  * candidates through the deleted edge. Freeing nodes and inserting an
+  * edge recompute the candidate sets of the affected hosts instead of
+  * searching for the new candidates only (DESIGN.md §3.4). Tests assert
+  * the index stays identical to a from-scratch Algorithm 5 construction
+  * after every update.
   */
 final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
@@ -43,8 +44,6 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   private var nextId = 0
 
   val candidates = mutable.HashMap.empty[Int, mutable.HashSet[Cand]]
-  private[dynamic] val candByNode: Array[mutable.HashSet[(Int, Cand)]] =
-    Array.fill(g.n)(mutable.HashSet.empty[(Int, Cand)])
 
   /** Number of swap rounds performed (bench statistic). */
   var swapCount: Long = 0L
@@ -121,34 +120,18 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     out
   }
 
-  /** Replace a host's candidate set, keeping candByNode in sync.
-    * Returns true when the new set contains candidates absent before.
-    */
+  /** Replace a host's candidate set; true when it gained a candidate. */
   private def setCandidates(cid: Int, next: mutable.HashSet[Cand]): Boolean = {
-    val prev = candidates.getOrElse(cid, mutable.HashSet.empty[Cand])
-    var gained = false
-    for (cand <- next) if (!prev.contains(cand)) {
-      gained = true
-      cand.foreach(v => candByNode(v) += ((cid, cand)))
-    }
-    for (cand <- prev) if (!next.contains(cand)) {
-      cand.foreach(v => candByNode(v) -= ((cid, cand)))
-    }
+    val prev = candidates.get(cid)
     if (next.isEmpty) candidates.remove(cid) else candidates(cid) = next
-    gained
+    next.exists(c => !prev.exists(_.contains(c)))
   }
 
-  /** Remove every index entry containing node `x` and, when `y >= 0`,
-    * also node `y`. Such entries can only die, never be created, when `x`
-    * becomes clique-owned or the edge ⟨x,y⟩ is deleted, so no host is
-    * rebuilt.
-    */
-  private def dropThrough(x: Int, y: Int = -1): Unit =
-    for ((cid, cand) <- candByNode(x).toArray if y < 0 || cand.contains(y)) {
-      val set = candidates(cid)
-      set -= cand
+  /** Drop the `dead` entries of the given hosts, and any set left empty. */
+  private def dropFrom(hosts: Iterable[Int])(dead: Cand => Boolean): Unit =
+    for (cid <- hosts; set <- candidates.get(cid)) {
+      set.filterInPlace(!dead(_))
       if (set.isEmpty) candidates.remove(cid)
-      cand.foreach(v => candByNode(v) -= ((cid, cand)))
     }
 
   /** Host cliques owning a neighbour of `x` — exactly the cliques whose
@@ -180,7 +163,9 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     val id = nextId; nextId += 1
     val arr = nodes.toArray.sorted
     cliques(id) = arr
-    arr.foreach { x => cliqueOf(x) = id; dropThrough(x) }
+    arr.foreach(cliqueOf(_) = id)
+    // the entries through its formerly free nodes sit in adjacent hosts
+    dropFrom(arr.flatMap(hostsAdjacentTo).toSet)(_.exists(cliqueOf(_) == id))
     setCandidates(id, candidatesFor(id))
     id
   }
@@ -190,7 +175,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     */
   private def removeClique(cid: Int): Set[Int] = {
     val nodes = cliques.remove(cid).get
-    setCandidates(cid, mutable.HashSet.empty[Cand])
+    candidates.remove(cid)
     nodes.foreach(cliqueOf(_) = -1)
     rebuildHosts(nodes.flatMap(hostsAdjacentTo))
   }
@@ -279,8 +264,15 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       trySwap(gained ++ recovered)
     } else {
       // S is intact: exactly the candidates containing ⟨u,v⟩ die, and a
-      // deletion creates none, so nothing is pushed
-      dropThrough(u, v)
+      // deletion creates none, so nothing is pushed. Such a candidate's
+      // host owns u, v or a common neighbour of both. An owned endpoint
+      // names the host, and endpoints owned by two cliques share none.
+      val cv = cliqueOf(v)
+      val hosts = mutable.HashSet.empty[Int]
+      if (cu == -1 && cv == -1)
+        g.foreachNeighbor(u) { w => if (g.hasEdge(v, w)) hosts += cliqueOf(w) }
+      else if (cu == -1 || cv == -1) hosts += math.max(cu, cv)
+      dropFrom(hosts)(c => c.contains(u) && c.contains(v))
     }
   }
 
