@@ -38,10 +38,12 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
 
   private val candBuf = Array.ofDim[Int](k, math.max(dag.maxDegree, 1))
   private val clique  = new Array[Int](k)
+  /** `cheapest`'s scratch. */
+  private val lowest  = new Array[Long](k)
 
   /** Node scores for the partial sums, or null when the search is unscored. */
   private var scores: Array[Long] = null
-  /** A branch whose partial score sum exceeds `limit` is cut. */
+  /** A branch whose partial score sum, plus the cheapest completion, exceeds `limit` is cut. */
   private var limit: Long = Long.MaxValue
   /** Score of the clique handed to the leaf. */
   private var leafScore: Long = 0L
@@ -73,11 +75,37 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     w
   }
 
+  /** Sum of the `r` smallest scores over `cand[0,len)`, len ≥ r: the
+    * least that r distinct nodes of `cand` can add to a partial sum.
+    */
+  private def cheapest(cand: Array[Int], len: Int, r: Int): Long = {
+    val low = lowest // ascending; low(0 until m) are the m smallest so far
+    var m = 0
+    var i = 0
+    while (i < len) {
+      val x = scores(cand(i))
+      if (m < r || x < low(r - 1)) {
+        var j = if (m < r) { m += 1; m - 1 } else r - 1
+        while (j > 0 && low(j - 1) > x) { low(j) = low(j - 1); j -= 1 }
+        low(j) = x
+      }
+      i += 1
+    }
+    var sum = 0L
+    i = 0
+    while (i < r) { sum += low(i); i += 1 }
+    sum
+  }
+
   /** The one recursion: fill `clique(level)` from `cand[0,nCand)` in
     * ascending order, then the levels below it from the intersections.
     * `partial` is the score of `clique(0 until level)`. At level k-1 the
     * leaf gets the clique, with its score in `leafScore`; it sets `stop`
     * to end the search, and `rec` then returns true.
+    *
+    * Under a prune limit, a branch that still needs r ≥ 2 nodes is cut
+    * when even its r cheapest candidates would take the sum past the
+    * limit; at r = 1 the leaf loop makes that test exactly.
     */
   private def rec(level: Int, cand: Array[Int], nCand: Int, partial: Long,
                   leaf: Array[Int] => Unit): Boolean = {
@@ -96,7 +124,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
           if (stop) return true
         } else {
           val len = intersect(cand, nCand, v, next)
-          if (len >= k - 1 - level && rec(level + 1, next, len, s, leaf)) return true
+          val r = k - 1 - level
+          if (len >= r && !(r >= 2 && limit != Long.MaxValue && s + cheapest(next, len, r) > limit) &&
+              rec(level + 1, next, len, s, leaf)) return true
         }
       }
       i += 1
@@ -214,7 +244,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   }
 
   /** Find the clique rooted at `u` minimising (Σ s_n, canon), with the
-    * score-driven pruning strategy of Algorithm 3. The clique, canonical
+    * score-driven pruning strategy of Algorithm 3, tightened by the
+    * cheapest completion of each branch (which cuts no clique the leaf
+    * test would accept, so the result is the same). The clique, canonical
     * (ids ascending, which is also the tie-break between equal scores),
     * goes to `out[at, at+k)` and its score is returned; when u roots no
     * clique among valid nodes, `out` is untouched and the result is

@@ -149,32 +149,45 @@ class CliqueSearchSpec extends AnyFunSuite {
     for (u <- 0 until 5) assert(nothing.findFirst(u, Array.fill(5)(true)) == null)
   }
 
+  /** For k = 3..6 and five seeds: a random graph dense enough to hold
+    * k-cliques, its node scores, the DAG by score, and four masks (all
+    * valid, then random). `check` gets, per mask, the search, the scores,
+    * the mask and the valid cliques grouped by root (the highest-η node).
+    * At k ≥ 4 a scored search reaches the cheapest-completion bound.
+    */
+  private def findMinCases(seed0: Long)
+      (check: (Int, CliqueSearch, Array[Long], Array[Boolean], Map[Int, Array[Array[Int]]]) => Unit): Unit =
+    for (k <- 3 to 6; seed <- 0 until 5) {
+      val n = 16
+      val g = TestGraphs.randomGraph(n, 0.45 + 0.08 * (k - 3), seed0 + 10L * k + seed)
+      val sn = CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(n)), k)
+      val rank = Orderings.byScore(sn)
+      val dag = CsrGraph.orient(g, rank)
+      val search = new CliqueSearch(dag, k)
+      val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
+      val rnd = new Random(seed0 + 7L * k + seed)
+      for (valid <- null +: Seq.fill(3)(Array.fill(n)(rnd.nextDouble() < 0.85))) {
+        val live = if (valid == null) all else all.filter(_.forall(valid(_)))
+        check(k, search, sn, valid, live.groupBy(c => c.maxBy(rank(_))))
+      }
+    }
+
   for (prune <- Seq(PruneMode.NoPrune, PruneMode.Strict)) {
     test(s"findMin finds the true minimum-(score,canon) clique per source [$prune]") {
-      for (seed <- 0 until 5) {
-        val g = TestGraphs.randomGraph(13, 0.5, 400L + seed)
-        val k = 3
-        val dag0 = CsrGraph.orient(g, Orderings.byId(g.n))
-        val sn = CliqueSearch.countPerNode(dag0, k)
-        val rank = Orderings.byScore(sn)
-        val dag = CsrGraph.orient(g, rank)
-        val search = new CliqueSearch(dag, k)
-        // brute: for each source u, min over cliques rooted at u
-        val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
-        val byRoot = all.groupBy(c => c.maxBy(rank(_))) // root = highest-η node
-        for (u <- 0 until g.n) {
+      findMinCases(400L) { (k, search, sn, valid, byRoot) =>
+        for (u <- 0 until sn.length) {
           val slot = Array.fill(k + 2)(-7) // written only at [1, k+1)
-          val score = search.findMin(u, null, sn, prune, slot, 1)
+          val score = search.findMin(u, valid, sn, prune, slot, 1)
           byRoot.get(u) match {
             case None =>
-              assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"u=$u")
+              assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"k=$k u=$u")
             case Some(cs) =>
               val want = cs.map(c => (CliqueScoreGreedy.cliqueScore(c, sn), c.sorted))
                 .reduceLeft { (a, b) =>
                   if (b._1 < a._1 || (b._1 == a._1 && CliqueSearch.compareCanon(b._2, a._2) < 0)) b else a
                 }
-              assert(score == want._1 && slot.slice(1, k + 1).toSeq == want._2.toSeq, s"u=$u")
-              assert(slot(0) == -7 && slot(k + 1) == -7, s"u=$u wrote outside its slot")
+              assert(score == want._1 && slot.slice(1, k + 1).toSeq == want._2.toSeq, s"k=$k u=$u")
+              assert(slot(0) == -7 && slot(k + 1) == -7, s"k=$k u=$u wrote outside its slot")
           }
         }
       }
@@ -182,27 +195,18 @@ class CliqueSearchSpec extends AnyFunSuite {
   }
 
   test("findMin Paper prune mode still returns a minimum-score clique") {
-    for (seed <- 0 until 5) {
-      val g = TestGraphs.randomGraph(13, 0.5, 500L + seed)
-      val k = 3
-      val dag0 = CsrGraph.orient(g, Orderings.byId(g.n))
-      val sn = CliqueSearch.countPerNode(dag0, k)
-      val rank = Orderings.byScore(sn)
-      val dag = CsrGraph.orient(g, rank)
-      val search = new CliqueSearch(dag, k)
-      val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
-      val byRoot = all.groupBy(c => c.maxBy(rank(_)))
-      val slots = new Array[Int](g.n * k)
-      for (u <- 0 until g.n) {
-        val score = search.findMin(u, null, sn, PruneMode.Paper, slots, u * k)
+    findMinCases(500L) { (k, search, sn, valid, byRoot) =>
+      val slots = new Array[Int](sn.length * k)
+      for (u <- 0 until sn.length) {
+        val score = search.findMin(u, valid, sn, PruneMode.Paper, slots, u * k)
         byRoot.get(u) match {
-          case None => assert(score == CliqueSearch.NoClique)
+          case None => assert(score == CliqueSearch.NoClique, s"k=$k u=$u")
           case Some(cs) =>
             val minScore = cs.map(CliqueScoreGreedy.cliqueScore(_, sn)).min
-            assert(score == minScore, s"u=$u")
+            assert(score == minScore, s"k=$k u=$u")
             val c = slots.slice(u * k, u * k + k)
-            assert(cs.exists(_.sorted.sameElements(c)), s"u=$u: slot holds no clique rooted at u")
-            assert(CliqueScoreGreedy.cliqueScore(c, sn) == minScore, s"u=$u")
+            assert(cs.exists(_.sorted.sameElements(c)), s"k=$k u=$u: slot holds no valid clique rooted at u")
+            assert(CliqueScoreGreedy.cliqueScore(c, sn) == minScore, s"k=$k u=$u")
         }
       }
     }

@@ -28,9 +28,17 @@ class NodeScoresSpec extends SparkSpec {
 
   for (k <- 3 to 5) {
     test(s"distributed countTotal == driver countTotal on a community graph, k=$k") {
-      val g = GraphGen.community(500, 3000, 8, 0.8, seed = 77).toCsr
-      val dag = CsrGraph.orient(g, Orderings.byDegree(g))
-      assert(NodeScores.countTotal(spark, dag, k) == CliqueSearch.countTotal(dag, k))
+      // the second graph gives every partition several dealt-out blocks
+      val big = 3 * NodeScores.slices(spark) * DriverParallel.Block
+      for ((n, m, seed) <- Seq((500, 3000, 77L), (big, 6 * big, 78L))) {
+        val g = GraphGen.community(n, m, 8, 0.8, seed = seed).toCsr
+        for (dag <- Seq(CsrGraph.orient(g, Orderings.byDegree(g)), CsrGraph.orient(g, Orderings.byId(n)))) {
+          assert(NodeScores.countTotal(spark, dag, k) == CliqueSearch.countTotal(dag, k), s"n=$n")
+          assert(NodeScores.compute(spark, dag, k).toSeq == CliqueSearch.countPerNode(dag, k).toSeq, s"n=$n")
+          val dist = TestGraphs.grouped(SparkCliqueLister.listAll(spark, dag, k)).map(_.toSeq).toSeq
+          assert(dist.sorted == TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq.sorted, s"n=$n")
+        }
+      }
     }
   }
 

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Append one entry to the committed trajectory BENCH_<workload>.json.
+"""Append perfbench run sets to BENCH_<workload>.json, or compare two of them.
 
-    python3 tools/bench_entry.py --workload dynamic-swap --label "parent" \\
+    python3 tools/bench_entry.py append --workload dynamic-swap --label "parent" \\
         --records .bench_build/records --seeds 0-9
+    python3 tools/bench_entry.py compare --workload static-fl --seeds 0-9 \\
+        --parent ../parent/.bench_build/records --change .bench_build/records
 
-Run from the repository root. Reads the perfbench records
-<records>/<workload>-seed<s>-trace0.json of the given seeds and appends to
-BENCH_<workload>.json (created when missing) one entry with:
+Run from the repository root. Both read the perfbench records
+<records>/<workload>-seed<s>-trace0.json of the given seeds, and the traced
+records <workload>-seed<s>-trace1.json of the same seeds when there are any.
+
+append adds to the committed trajectory BENCH_<workload>.json (created when
+missing) one entry with:
 
   - label: free text naming the code measured (e.g. "parent", "change");
   - commit: HEAD when the runs were made, and source_stamp: perfbench's
@@ -16,10 +21,21 @@ BENCH_<workload>.json (created when missing) one entry with:
   - for each end-to-end metric of BENCHMARK.json: its unit, the median and
     the quartiles over the runs (statistics.quantiles, inclusive method);
   - per_layer: the median of each per-layer metric over the traced records
-    (<workload>-seed<s>-trace1.json) of the same seeds, when there are any.
+    of the same seeds, when there are any.
 
 Every record must come from the same commit, sources and environment;
 otherwise the script stops without writing.
+
+compare reads two record directories of the same seeds, the parent's and
+the change's (one run per seed and side, so each seed is a pair). For each
+end-to-end metric it prints each side's median and quartiles, the change of
+the median in %, the pairs the change wins (ties count for neither side),
+whether the change's median is worse than the parent's by more than the
+metric's BENCHMARK.json bound ("OUT") or not ("ok"), and whether the
+difference of the medians exceeds the parent's quartile spread. It also
+prints the failed operations per side, the seeds whose S digests differ,
+and, when both sides have traced records, each per-layer median that is
+not 0 on both sides.
 """
 import argparse
 import json
@@ -60,17 +76,12 @@ def one(records, what, key):
     return key(records[0])
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--records", default=".bench_build/records", type=Path)
-    ap.add_argument("--seeds", default="0-9", type=seed_list, help="e.g. 0-9 or 0,2,5-7")
-    a = ap.parse_args()
+def layer_medians(traced):
+    names = sorted(set().union(*(r["per_layer"] for r in traced)))
+    return {n: statistics.median(r["per_layer"][n] for r in traced if n in r["per_layer"]) for n in names}
 
-    spec = json.loads(Path("BENCHMARK.json").read_text())
-    if a.workload not in {w["name"] for w in spec["workloads"]}:
-        sys.exit(f"bench_entry: {a.workload} is not a workload of BENCHMARK.json")
+
+def append(a, spec):
     runs = load(a.records, a.workload, a.seeds, 0)
     traced = load(a.records, a.workload, a.seeds, 1)
     both = runs + traced
@@ -89,12 +100,7 @@ def main():
                     for m in spec["end_to_end"]},
     }
     if traced:
-        names = sorted(set().union(*(r["per_layer"] for r in traced)))
-        entry["per_layer"] = {
-            "seeds": [r["seed"] for r in traced],
-            "median": {n: statistics.median(r["per_layer"][n] for r in traced if n in r["per_layer"])
-                       for n in names},
-        }
+        entry["per_layer"] = {"seeds": [r["seed"] for r in traced], "median": layer_medians(traced)}
 
     out = Path(f"BENCH_{a.workload}.json")
     doc = json.loads(out.read_text()) if out.exists() else {"workload": a.workload, "entries": []}
@@ -102,6 +108,60 @@ def main():
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"bench_entry: {out}: entry {len(doc['entries'])} ({a.label}, {len(runs)} runs, "
           f"{entry['failed']} failed)")
+
+
+def compare(a, spec):
+    old, new = (load(d, a.workload, a.seeds, 0) for d in (a.parent, a.change))
+    one(old + new, "run length", lambda r: r["seconds"])
+    print(f"{a.workload}, seeds {a.seeds[0]}-{a.seeds[-1]}: {len(old)} pairs; failed operations "
+          f"{sum(r['failed'] for r in old)} of {sum(r['attempted'] for r in old)} (parent), "
+          f"{sum(r['failed'] for r in new)} of {sum(r['attempted'] for r in new)} (change)")
+    print(f"{'metric':<11} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
+          f"{'change':>8} {'wins':>6} bound  beyond parent spread")
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], (1 if m["better"] == "lower" else -1)
+        p, c = ([r["metrics"][name] for r in side] for side in (old, new))
+        ps, cs = summary(p), summary(c)
+        pct = 100.0 * (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
+        wins = sum(1 for x, y in zip(p, c) if sign * (x - y) > 0)
+        inside = sign * pct <= 100.0 * m["bound"]
+        beyond = abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]
+
+        def fmt(q):
+            return "{} [{}, {}]".format(*(f"{q[k]:.0f}" if abs(q[k]) >= 1e4 else f"{q[k]:.4g}"
+                                          for k in ("median", "q1", "q3")))
+        print(f"{name:<11} {fmt(ps):>28} {fmt(cs):>28} {pct:>+7.1f}% {wins:>3}/{len(p):<2} "
+              f"{'ok' if inside else 'OUT':<6} {'yes' if beyond else 'no'}")
+    differ = [r["seed"] for r, q in zip(old, new) if r["digests"] != q["digests"]]
+    cells = sum(len(r["digests"]) for r in old)
+    print(f"S digests: {cells} cells over {len(old)} seeds; "
+          + (f"differ at seeds {differ}" if differ else "identical at every seed"))
+    told, tnew = (load(d, a.workload, a.seeds, 1) for d in (a.parent, a.change))
+    if told and tnew:
+        lo, ln = layer_medians(told), layer_medians(tnew)
+        print(f"per-layer medians, traced seeds {[r['seed'] for r in told]} -> {[r['seed'] for r in tnew]}:")
+        for n in sorted(n for n in set(lo) | set(ln) if lo.get(n) or ln.get(n)):
+            print(f"  {n:<40} {lo.get(n, float('nan')):>14.6g} -> {ln.get(n, float('nan')):<14.6g}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("append", "compare"):
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--workload", required=True)
+        cmd.add_argument("--seeds", default="0-9", type=seed_list, help="e.g. 0-9 or 0,2,5-7")
+    sub.choices["append"].add_argument("--label", required=True)
+    sub.choices["append"].add_argument("--records", default=".bench_build/records", type=Path)
+    sub.choices["compare"].add_argument("--parent", required=True, type=Path, help="the parent's records")
+    sub.choices["compare"].add_argument("--change", default=".bench_build/records", type=Path,
+                                        help="the change's records")
+    a = ap.parse_args()
+
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    if a.workload not in {w["name"] for w in spec["workloads"]}:
+        sys.exit(f"bench_entry: {a.workload} is not a workload of BENCHMARK.json")
+    (append if a.command == "append" else compare)(a, spec)
     return 0
 
 
