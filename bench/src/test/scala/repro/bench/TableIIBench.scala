@@ -30,6 +30,11 @@ class TableIIBench extends SparkSpec {
         s"${r.dataset} k=${r.k}: GC=${r.gc.size} LP=${r.lp.size}")
     }
 
+    // wherever OPT is optimal, LP ≤ OPT ≤ k·LP (LP is a k-approximation)
+    for (r <- rows if r.opt.status == "ok")
+      assert(r.lp.size <= r.opt.size && r.opt.size <= r.k * r.lp.size,
+        s"${r.dataset} k=${r.k}: LP=${r.lp.size} OPT=${r.opt.size}")
+
     // HG and LP never OOM (O(n+m) space) — GC must OOM somewhere on the
     // dense stand-ins, as in the paper
     assert(rows.forall(r => r.hg.status == "ok" && r.lp.status == "ok"))

@@ -20,7 +20,10 @@ class TableIVBench extends SparkSpec {
         assert((opt - r.lp).toDouble / opt <= 0.25,
           s"${r.name} k=${r.k}: ER too large (LP=${r.lp}, OPT=$opt)")
     }
-    // OPT must complete on at least half the cells (they are tiny)
-    assert(rows.count(r => r.opt != "OOT" && r.opt != "OOM") >= rows.size / 2)
+    // OPT is optimal on every cell the paper's OPT solved; the paper is
+    // OOT only on Lizard k=3, Football k=3 and Hamsterster k=3/4
+    val paperUnsolved = Set(("Lizard", 3), ("Football", 3), ("Hamsterster", 3), ("Hamsterster", 4))
+    for (r <- rows if !paperUnsolved((r.name, r.k)))
+      assert(r.opt != "OOT" && r.opt != "OOM", s"${r.name} k=${r.k}: OPT ${r.opt}, but the paper solved it")
   }
 }

@@ -38,7 +38,11 @@ object MemoryModel {
   def gcBytes(g: CsrGraph, k: Int, tau: Long): Long =
     lpBytes(g, k) + tau * (arrayHeader + 4L * k + 8L) + 8L * tau
 
-  /** GC base + clique-graph adjacency (both directions, 4B ids). */
+  /** GC base + clique-graph adjacency (both directions, 4B ids). This
+    * models the paper's OPT, which stores the clique graph; `ExactSolver`
+    * finds the same optimum from a node → cliques index alone (DESIGN.md
+    * §3 deviation 7), so this and the OOM gates stay the paper's model.
+    */
   def optBytes(g: CsrGraph, k: Int, tau: Long, conflictEdges: Long): Long =
     gcBytes(g, k, tau) + conflictEdges * 8L + tau * objHeader
 

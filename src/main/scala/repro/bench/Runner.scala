@@ -82,25 +82,34 @@ object Runner {
     Validation.ensureValid(g, lpRes, s"$name k=$k LP")
     val lp = AlgoCell("ok", lpRes.size, snMs + lpMs, lpModelMB, Some(lpSt))
 
-    // OPT — exact MIS on the clique graph (small inputs only)
-    val opt =
-      if (!runOpt) AlgoCell("OOM")
-      else {
-        val (res, ms) = timed(ExactSolver.run(g, k,
-          timeBudgetMs = BenchConfig.optTimeBudgetMs,
-          maxCliques = BenchConfig.optMaxCliques,
-          maxConflictEdges = BenchConfig.optMaxConflictEdges))
-        res.foreach(r => Validation.ensureValid(g, r.result, s"$name k=$k OPT"))
-        res match {
-          case Left(_) => AlgoCell("OOM")
-          case Right(r) if !r.optimal => AlgoCell("OOT", millis = ms)
-          case Right(r) =>
-            val mb = MemoryModel.toMB(MemoryModel.optBytes(g, k, r.cliqueCount, r.conflictEdges))
-            AlgoCell("ok", r.result.size, ms, mb)
-        }
-      }
+    val opt = if (runOpt) optCell(g, k, s"$name k=$k") else AlgoCell("skip")
 
     EvalRow(name, k, g.n, g.undirectedEdgeCount, tau, opt, hg, gc, l, lp)
+  }
+
+  /** OPT on one cell with the evaluation's budgets: "OOM" when its
+    * clique graph is over budget (`Left`), "OOT" when the time budget
+    * expired first, otherwise the optimum with its modelled memory. Every
+    * packing OPT returns is validated.
+    */
+  def optCell(g: CsrGraph, k: Int, label: String): AlgoCell = {
+    val (res, ms) = timed(ExactSolver.run(g, k,
+      timeBudgetMs = BenchConfig.optTimeBudgetMs,
+      maxCliques = BenchConfig.optMaxCliques,
+      maxConflictEdges = BenchConfig.optMaxConflictEdges))
+    res.foreach(r => Validation.ensureValid(g, r.result, s"$label OPT"))
+    res match {
+      case Left(_) => AlgoCell("OOM")
+      case Right(r) if !r.optimal => AlgoCell("OOT", millis = ms)
+      case Right(r) =>
+        AlgoCell("ok", r.result.size, ms, MemoryModel.toMB(MemoryModel.optBytes(g, k, r.cliqueCount, r.conflictEdges)))
+    }
+  }
+
+  /** One line counting OPT cells by outcome, from their statuses. */
+  def optOutcomes(statuses: Seq[String]): String = {
+    def n(s: String) = statuses.count(_ == s)
+    s"OPT cells: ${n("ok")} optimal, ${n("OOT")} OOT, ${n("OOM")} OOM, ${n("skip")} not run"
   }
 
   /** Render rows in a fixed-width table; the bench suites print these. */

@@ -40,15 +40,14 @@ object Tables {
   // Tables II & III (+ Fig. 6 runtimes) — quality / memory / time
   // ------------------------------------------------------------------
 
-  /** Full evaluation sweep: every dataset × k, all five algorithms.
-    * OPT only attempted on the two smallest graphs (paper: OOT/OOM on
-    * everything beyond them).
+  /** Full evaluation sweep: every dataset × k, all five algorithms. OPT
+    * runs everywhere; its own clique and clique-graph gates report OOM.
     */
   def evalSweep(spark: SparkSession,
                 specs: Seq[Datasets.Spec] = Datasets.standins): Seq[EvalRow] =
     for (spec <- specs; k <- BenchConfig.ks) yield {
       val g = spec.csr
-      Runner.evaluate(spark, spec.name, g, k, runOpt = g.n <= 2000)
+      Runner.evaluate(spark, spec.name, g, k, runOpt = true)
     }
 
   def renderTableII(rows: Seq[EvalRow]): String = {
@@ -64,7 +63,7 @@ object Tables {
       }
       Seq(name) ++ cells
     }
-    Runner.formatTable(header, body)
+    Runner.formatTable(header, body) + "\n" + Runner.optOutcomes(rows.map(_.opt.status))
   }
 
   def renderTableIII(rows: Seq[EvalRow]): String = {
@@ -106,27 +105,20 @@ object Tables {
       val g = spec.csr
       val lp = lpOn(spark, g, k)
       Validation.ensureValid(g, lp, s"${spec.name} k=$k LP")
-      val opt = ExactSolver.run(g, k,
-        timeBudgetMs = BenchConfig.optTimeBudgetMs,
-        maxCliques = BenchConfig.optMaxCliques,
-        maxConflictEdges = BenchConfig.optMaxConflictEdges)
-      opt.foreach(r => Validation.ensureValid(g, r.result, s"${spec.name} k=$k OPT"))
-      opt match {
-        case Right(r) if r.optimal =>
-          val er =
-            if (r.result.size == 0) "0%"
-            else f"${(r.result.size - lp.size) * 100.0 / r.result.size}%.2f%%"
-          SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, r.result.size.toString, er)
-        case Right(_) => SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, "OOT", "-")
-        case Left(_)  => SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, "OOM", "-")
-      }
+      val opt = Runner.optCell(g, k, s"${spec.name} k=$k")
+      val er =
+        if (opt.status != "ok") "-"
+        else if (opt.size == 0) "0%"
+        else f"${(opt.size - lp.size) * 100.0 / opt.size}%.2f%%"
+      SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, opt.sizeStr, er)
     }
 
   def renderTableIV(rows: Seq[SmallRow]): String =
     Runner.formatTable(
       Seq("Dataset", "n", "m", "k", "LP", "OPT", "ER"),
       rows.map(r => Seq(r.name, r.n.toString, r.m.toString, r.k.toString,
-                        r.lp.toString, r.opt, r.errorRatio)))
+                        r.lp.toString, r.opt, r.errorRatio))) +
+      "\n" + Runner.optOutcomes(rows.map(r => if (r.opt == "OOT" || r.opt == "OOM") r.opt else "ok"))
 
   // ------------------------------------------------------------------
   // Tables V & VI — Watts–Strogatz synthetic sweep

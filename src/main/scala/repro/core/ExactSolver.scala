@@ -1,9 +1,17 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.Arrays
 
-/** OPT — the exact baseline: materialise the clique graph (Definition 2)
-  * and solve exact maximum independent set on it by branch-and-bound.
+/** OPT — the exact baseline: a maximum set of disjoint k-cliques, which
+  * is a maximum independent set of the clique graph (Definition 2).
+  *
+  * The clique graph itself is never stored. One node → cliques index (CSR
+  * over the listing) counts its edges for the memory gate and splits it
+  * into components (union-find over shared nodes). Each component is
+  * searched exactly on its own, exact-cover style (Knuth, "Dancing
+  * Links", 2000): take the node with the fewest live cliques and cover it
+  * with each of them in turn, or leave it uncovered; cut a branch when
+  * chosen + ⌊nodes still on a live clique / k⌋ cannot beat the best.
   *
   * Like the paper's OPT it is only feasible on small inputs; the harness
   * reports OOM when the clique graph exceeds a (scaled) memory budget and
@@ -16,7 +24,9 @@ object ExactSolver {
 
   /** Left("OOM: ...") when the clique graph is over budget; otherwise the
     * best packing found, with `optimal = false` meaning the time budget
-    * expired first (reported as OOT by the benches).
+    * expired first (reported as OOT by the benches). After the deadline
+    * each component still finishes its first descent, which only ever
+    * covers, so an OOT packing is maximal.
     */
   def run(g: CsrGraph, k: Int,
           timeBudgetMs: Long = 60000L,
@@ -29,142 +39,91 @@ object ExactSolver {
     val nc = cliques.length
     val nodes = cliques.nodes
 
-    // Conflict adjacency: cliques sharing a node. Built via the inverted
-    // node -> clique-ids index, deduplicated per clique.
-    val byNode = Array.fill(g.n)(new mutable.ArrayBuffer[Int]())
-    for (i <- 0 until nc; j <- 0 until k) byNode(nodes(i * k + j)) += i
-    val conflictSets = Array.fill(nc)(new mutable.HashSet[Int]())
+    // Node v's cliques are through[start(v), start(v + 1)), ascending.
+    val start = new Array[Int](g.n + 1)
+    nodes.foreach(v => start(v + 1) += 1)
+    for (v <- 0 until g.n) start(v + 1) += start(v)
+    val through = new Array[Int](nodes.length)
+    val fill = Arrays.copyOf(start, g.n)
+    for (o <- nodes.indices) { val v = nodes(o); through(fill(v)) = o / k; fill(v) += 1 }
+
+    // One pass: count each sharing pair (i, j > i) once, by the last i
+    // that stamped j, and join each clique to the first clique on each
+    // of its nodes.
+    val parent = Array.range(0, nc)
+    def find(i: Int): Int = { var r = i; while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }; r }
+    val stamp = Array.fill(nc)(-1)
     var conflictEdges = 0L
-    for (v <- 0 until g.n) {
-      val ids = byNode(v)
-      var i = 0
-      while (i < ids.length) {
-        var j = i + 1
-        while (j < ids.length) {
-          if (conflictSets(ids(i)).add(ids(j))) {
-            conflictSets(ids(j)) += ids(i)
-            conflictEdges += 1
-            if (conflictEdges > maxConflictEdges)
-              return Left(s"OOM: clique graph has > $maxConflictEdges edges")
-          }
-          j += 1
-        }
-        i += 1
+    var o = 0
+    while (o < nodes.length) {
+      val i = o / k
+      val v = nodes(o)
+      parent(find(i)) = find(through(start(v)))
+      var t = start(v)
+      while (t < start(v + 1)) {
+        val j = through(t)
+        if (j > i && stamp(j) != i) { stamp(j) = i; conflictEdges += 1 }
+        t += 1
       }
+      if (conflictEdges > maxConflictEdges) return Left(s"OOM: clique graph has > $maxConflictEdges edges")
+      o += 1
     }
-    val conflicts: Array[Array[Int]] = conflictSets.map(_.toArray.sorted)
+    // Each component's nodes, ascending; components ordered by their first node.
+    val components = (0 until g.n).filter(v => start(v + 1) > start(v))
+      .groupBy(v => find(through(start(v)))).values.map(_.toArray).toSeq.sortBy(_(0))
 
-    // --- branch and bound MIS ---------------------------------------
-    val alive = Array.fill(nc)(true)
-    // per-G-node count of alive cliques containing it; #nodes with count>0
-    // gives the ⌊free nodes / k⌋ upper bound on what remains packable.
-    val nodeCnt = new Array[Int](g.n)
-    for (v <- nodes) nodeCnt(v) += 1
-    var aliveNodes = nodeCnt.count(_ > 0)
-    val aliveDeg = conflicts.map(_.length)
-
-    var best = -1
-    var bestSet: List[Int] = Nil
-    val chosen = new mutable.ArrayBuffer[Int]()
+    // Search state: live cliques, live cliques per node, nodes on a live
+    // clique (of the component searched), and one stack of killed cliques.
+    val live = Array.fill(nc)(true)
+    val liveCnt = Array.tabulate(g.n)(v => start(v + 1) - start(v))
+    var coverable = 0
+    val (killed, chosen) = (new Array[Int](nc), new Array[Int](g.n / k + 1))
+    var (top, depth, best, bestSet) = (0, 0, -1, Array.empty[Int])
     val deadline = System.nanoTime() + timeBudgetMs * 1000000L
     var timedOut = false
     var ticks = 0
 
-    def kill(i: Int, removedStack: mutable.ArrayBuffer[Int]): Unit = {
-      alive(i) = false
-      removedStack += i
-      var o = i * k
-      while (o < (i + 1) * k) { val v = nodes(o); nodeCnt(v) -= 1; if (nodeCnt(v) == 0) aliveNodes -= 1; o += 1 }
-      for (j <- conflicts(i)) aliveDeg(j) -= 1
+    def kill(c: Int): Unit = if (live(c)) {
+      live(c) = false; killed(top) = c; top += 1
+      for (o <- c * k until (c + 1) * k) { val v = nodes(o); liveCnt(v) -= 1; if (liveCnt(v) == 0) coverable -= 1 }
     }
-
-    def revive(i: Int): Unit = {
-      alive(i) = true
-      var o = i * k
-      while (o < (i + 1) * k) { val v = nodes(o); if (nodeCnt(v) == 0) aliveNodes += 1; nodeCnt(v) += 1; o += 1 }
-      for (j <- conflicts(i)) aliveDeg(j) += 1
+    def killThrough(v: Int): Unit = for (t <- start(v) until start(v + 1)) kill(through(t))
+    def undo(mark: Int): Unit = while (top > mark) {
+      top -= 1; val c = killed(top); live(c) = true
+      for (o <- c * k until (c + 1) * k) { val v = nodes(o); if (liveCnt(v) == 0) coverable += 1; liveCnt(v) += 1 }
     }
+    def stopped = timedOut && best >= 0
 
-    def recurse(): Unit = {
-      if (timedOut) return
+    def search(comp: Array[Int]): Unit = {
       ticks += 1
-      if ((ticks & 0x3f) == 0 && System.nanoTime() > deadline) { timedOut = true; return }
-      // bound: current + at most ⌊alive G-nodes / k⌋ further cliques
-      if (chosen.size + aliveNodes / k <= best) return
-
-      // Take every conflict-free clique greedily in one pass (always
-      // safe), then pick the max-conflict-degree clique to branch on.
-      val freeRemoved = new mutable.ArrayBuffer[Int]()
-      var freeTaken = 0
-      var progress = true
-      while (progress) {
-        progress = false
-        var i = 0
-        while (i < nc) {
-          if (alive(i) && aliveDeg(i) == 0) {
-            kill(i, freeRemoved)
-            chosen += i
-            freeTaken += 1
-            progress = true
-          }
-          i += 1
+      if ((ticks & 0x3f) == 0 && System.nanoTime() > deadline) timedOut = true
+      if (stopped || depth + coverable / k <= best) return
+      var v = -1
+      for (u <- comp) if (liveCnt(u) > 0 && (v < 0 || liveCnt(u) < liveCnt(v))) v = u
+      if (v < 0) { best = depth; bestSet = Arrays.copyOf(chosen, depth); return }
+      val mark = top
+      for (t <- start(v) until start(v + 1)) {
+        val c = through(t)
+        if (live(c) && !stopped) { // cover v with c
+          for (o <- c * k until (c + 1) * k) killThrough(nodes(o))
+          chosen(depth) = c
+          depth += 1
+          search(comp)
+          depth -= 1
+          undo(mark)
         }
       }
-      var branchI = -1
-      var branchDeg = -1
-      var i = 0
-      while (i < nc) {
-        if (alive(i) && aliveDeg(i) > branchDeg) { branchDeg = aliveDeg(i); branchI = i }
-        i += 1
-      }
-      if (branchI < 0) { // nothing alive: leaf
-        if (chosen.size > best) { best = chosen.size; bestSet = chosen.toList }
-        var t = 0
-        while (t < freeTaken) { chosen.remove(chosen.size - 1); t += 1 }
-        freeRemoved.foreach(revive)
-        return
-      }
-      // branch 1: include branchI (remove it and its alive conflicts)
-      val removed1 = new mutable.ArrayBuffer[Int]()
-      val conflictsToKill = conflicts(branchI).filter(alive)
-      kill(branchI, removed1)
-      conflictsToKill.foreach(j => if (alive(j)) kill(j, removed1))
-      chosen += branchI
-      recurse()
-      chosen.remove(chosen.size - 1)
-      removed1.reverseIterator.foreach(revive)
-      if (!timedOut) {
-        // branch 2: exclude branchI
-        val removed2 = new mutable.ArrayBuffer[Int]()
-        kill(branchI, removed2)
-        recurse()
-        removed2.reverseIterator.foreach(revive)
-      }
-      // undo the free-clique sweep of this frame
-      var t = 0
-      while (t < freeTaken) { chosen.remove(chosen.size - 1); t += 1 }
-      freeRemoved.foreach(revive)
+      if (!stopped) { killThrough(v); search(comp); undo(mark) } // leave v uncovered
     }
 
-    // seed best with the greedy min-conflict-degree MIS so pruning bites
-    val seed = greedySeed(nc, conflicts)
-    best = seed.size
-    bestSet = seed
-    recurse()
-    val resultCliques = bestSet.sorted.map(cliques(_)).toVector
+    val picked = Array.newBuilder[Int]
+    for (comp <- components) {
+      best = -1
+      coverable = comp.length
+      search(comp)
+      picked ++= bestSet
+    }
+    val resultCliques = picked.result().sorted.map(cliques(_)).toVector
     Right(OptResult(DisjointResult(k, resultCliques), !timedOut, tau, conflictEdges))
-  }
-
-  /** Greedy MIS (ascending conflict degree) used as the initial bound. */
-  private def greedySeed(nc: Int, conflicts: Array[Array[Int]]): List[Int] = {
-    val order = (0 until nc).sortBy(i => (conflicts(i).length, i))
-    val dead = new Array[Boolean](nc)
-    val out = List.newBuilder[Int]
-    for (i <- order) if (!dead(i)) {
-      out += i
-      dead(i) = true
-      conflicts(i).foreach(dead(_) = true)
-    }
-    out.result()
   }
 }

@@ -38,6 +38,16 @@ class BenchTrajectorySpec extends AnyFunSuite {
           val (q1, med, q3) = (v.get("q1").asDouble(), v.get("median").asDouble(), v.get("q3").asDouble())
           assert(q1 <= med && med <= q3, s"$ctx: $name quartiles $q1 $med $q3")
         }
+        // The machine's state, recorded by `bench_entry.py pairs`: median
+        // load average before and after a run, and median steal %.
+        if (e.has("machine")) {
+          val m = e.get("machine")
+          for (f <- Seq("runs", "load_before", "load_after", "steal_pct")) assert(m.has(f), s"$ctx: no machine.$f")
+          assert(m.get("runs").asInt() > 0 && m.get("runs").asInt() <= e.get("runs").asInt(), ctx)
+          assert(m.get("load_before").asDouble() >= 0 && m.get("load_after").asDouble() >= 0, ctx)
+          val steal = m.get("steal_pct").asDouble()
+          assert(steal >= 0 && steal <= 100, s"$ctx: steal $steal%")
+        }
       }
     }
 }

@@ -42,6 +42,11 @@ class HarnessSpec extends AnyFunSuite {
     assert(AlgoCell("skip").findMinStr == "skip" && AlgoCell("skip").staleRatioStr == "skip")
   }
 
+  test("optOutcomes counts OPT cells as optimal / OOT / OOM / not run") {
+    assert(Runner.optOutcomes(Seq("ok", "OOT", "ok", "OOM", "skip")) ==
+      "OPT cells: 2 optimal, 1 OOT, 1 OOM, 1 not run")
+  }
+
   test("formatTable aligns columns and separators") {
     val t = Runner.formatTable(Seq("a", "bb"), Seq(Seq("1", "2"), Seq("33", "4")))
     val lines = t.split("\n")

@@ -34,16 +34,50 @@ class ExactSolverSpec extends AnyFunSuite {
     }
   }
 
+  /** Disjoint union of the pieces: piece i's node v becomes v plus the
+    * node counts of the pieces before it.
+    */
+  private def disjointUnion(pieces: Seq[CsrGraph]): CsrGraph = {
+    val offsets = pieces.scanLeft(0)(_ + _.n)
+    val edges = for {
+      (p, off) <- pieces.zip(offsets)
+      u <- 0 until p.n
+      v <- p.neighborsOf(u) if u < v
+    } yield (u + off, v + off)
+    TestGraphs.fromEdges(offsets.last, edges)
+  }
+
+  for (k <- 3 to 5; seed <- 0 until 8) {
+    test(s"OPT on a multi-component graph equals the brute-force optimum summed over its pieces k=$k seed=$seed") {
+      val rnd = new scala.util.Random(977L * k + seed)
+      val pieces = Seq.fill(2 + rnd.nextInt(3))(
+        TestGraphs.randomGraph(5 + rnd.nextInt(7), 0.45 + 0.35 * rnd.nextDouble(), rnd.nextLong()))
+      val g = disjointUnion(pieces)
+      val Right(opt) = ExactSolver.run(g, k)
+      assert(opt.optimal)
+      assert(Validation.validate(g, opt.result).isEmpty)
+      assert(opt.result.size == pieces.map(TestGraphs.bruteMaxDisjoint(_, k)).sum)
+      val cliques = TestGraphs.bruteCliques(g, k).toVector
+      val sharing = for (i <- cliques.indices; j <- i + 1 until cliques.length
+                         if cliques(i).intersect(cliques(j)).nonEmpty) yield 1
+      assert(opt.cliqueCount == cliques.length && opt.conflictEdges == sharing.length)
+    }
+  }
+
   test("OPT reports OOM when the clique count exceeds the budget") {
     val g = TestGraphs.complete(12) // C(12,3) = 220 cliques
     assert(ExactSolver.run(g, 3, maxCliques = 100).isLeft)
   }
 
   test("OPT reports non-optimal (OOT) under a tiny time budget on a hard instance") {
-    val g = TestGraphs.randomGraph(90, 0.5, 9)
+    val g = disjointUnion(Seq(TestGraphs.complete(4), TestGraphs.randomGraph(90, 0.5, 9),
+                              TestGraphs.fig2, TestGraphs.randomGraph(40, 0.5, 10), TestGraphs.complete(5)))
     ExactSolver.run(g, 3, timeBudgetMs = 0) match {
-      case Right(opt) => assert(!opt.optimal)
-      case Left(_)    => fail("should not OOM")
+      case Right(opt) =>
+        assert(!opt.optimal)
+        assert(Validation.validate(g, opt.result).isEmpty)
+        assert(Validation.isMaximal(g, opt.result))
+      case Left(_) => fail("should not OOM")
     }
   }
 

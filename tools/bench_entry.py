@@ -1,12 +1,25 @@
 #!/usr/bin/env python3
-"""Append perfbench run sets to BENCH_<workload>.json, or compare two of them.
+"""Run perfbench pairs, append run sets to BENCH_<workload>.json, or compare two.
 
+    python3 tools/bench_entry.py pairs --workload static-fl --seeds 0-9 \\
+        --parent-root ../parent
     python3 tools/bench_entry.py append --workload dynamic-swap --label "parent" \\
         --records .bench_build/records --seeds 0-9
     python3 tools/bench_entry.py compare --workload static-fl --seeds 0-9 \\
         --parent ../parent/.bench_build/records --change .bench_build/records
 
-Run from the repository root. Both read the perfbench records
+Run from the repository root.
+
+pairs runs perfbench/run.py for BENCHMARK.json's run_seconds once per seed
+in the parent checkout and once in this one, alternately: even seeds run the parent first, odd seeds the
+change first. Around each run it reads the 1-minute load average from
+/proc/loadavg and the CPU time counters from /proc/stat, and writes the
+load before and after the run and the share of CPU time stolen by the
+hypervisor during it (steal %) next to that run's record, as
+<workload>-seed<s>-trace<t>.machine.json. Each side writes its records
+under its own .bench_build/ (CARGO_TARGET_DIR is not passed on).
+
+append and compare read the perfbench records
 <records>/<workload>-seed<s>-trace0.json of the given seeds, and the traced
 records <workload>-seed<s>-trace1.json of the same seeds when there are any.
 
@@ -21,7 +34,9 @@ missing) one entry with:
   - for each end-to-end metric of BENCHMARK.json: its unit, the median and
     the quartiles over the runs (statistics.quantiles, inclusive method);
   - per_layer: the median of each per-layer metric over the traced records
-    of the same seeds, when there are any.
+    of the same seeds, when there are any;
+  - machine: the medians of the load before and after each run and of its
+    steal %, when pairs recorded them.
 
 Every record must come from the same commit, sources and environment;
 otherwise the script stops without writing.
@@ -33,17 +48,21 @@ the median in %, the pairs the change wins (ties count for neither side),
 whether the change's median is worse than the parent's by more than the
 metric's BENCHMARK.json bound ("OUT") or not ("ok"), and whether the
 difference of the medians exceeds the parent's quartile spread. It also
-prints the failed operations per side, the seeds whose S digests differ,
-and, when both sides have traced records, each per-layer median that is
+prints the failed operations per side, each side's machine medians when
+pairs recorded them, the seeds and cells whose S digests differ, and,
+when both sides have traced records, each per-layer median that is
 not 0 on both sides.
 """
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
 ENV_KEYS = ("nproc", "spark_master", "spark_default_parallelism", "max_heap_mb", "java_version")
+MACHINE_KEYS = ("load_before", "load_after", "steal_pct")
 
 
 def seed_list(text):
@@ -67,6 +86,47 @@ def load(records, workload, seeds, trace):
     if trace == 0 and missing:
         sys.exit(f"bench_entry: missing records: {', '.join(missing)}")
     return [json.loads(p.read_text()) for p in paths if p.exists()]
+
+
+def machine(records, workload, seeds):
+    """The medians of the machine samples pairs wrote next to the untraced
+    records of these seeds, or None when there are none."""
+    paths = [records / f"{workload}-seed{s}-trace0.machine.json" for s in seeds]
+    samples = [json.loads(p.read_text()) for p in paths if p.exists()]
+    if not samples:
+        return None
+    return {"runs": len(samples), **{k: statistics.median(m[k] for m in samples) for k in MACHINE_KEYS}}
+
+
+def cpu_sample():
+    """The 1-minute load average and the CPU time counters user..steal."""
+    load = float(Path("/proc/loadavg").read_text().split()[0])
+    ticks = [int(x) for x in Path("/proc/stat").read_text().split("\n", 1)[0].split()[1:9]]
+    return load, ticks
+
+
+def pairs(a, spec):
+    sides = {"parent": a.parent_root.resolve(), "change": Path.cwd()}
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    failed = 0
+    for s in a.seeds:
+        for side in (("parent", "change") if s % 2 == 0 else ("change", "parent")):
+            root = sides[side]
+            load0, t0 = cpu_sample()
+            r = subprocess.run([sys.executable, "perfbench/run.py", "--workload", a.workload, "--seed", str(s),
+                                "--seconds", str(spec["run_seconds"]), "--trace", str(a.trace)],
+                               cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+            load1, t1 = cpu_sample()
+            d = [y - x for x, y in zip(t0, t1)]
+            sample = {"load_before": load0, "load_after": load1,
+                      "steal_pct": 100.0 * d[7] / sum(d) if sum(d) else 0.0}
+            records = root / ".bench_build/records"
+            records.mkdir(parents=True, exist_ok=True)
+            (records / f"{a.workload}-seed{s}-trace{a.trace}.machine.json").write_text(json.dumps(sample) + "\n")
+            failed += r.returncode != 0
+            print(f"pairs: {a.workload} seed {s} {side}: exit {r.returncode}, load {load0:.2f} -> {load1:.2f}, "
+                  f"steal {sample['steal_pct']:.2f}%", flush=True)
+    return 1 if failed else 0
 
 
 def one(records, what, key):
@@ -101,6 +161,9 @@ def append(a, spec):
     }
     if traced:
         entry["per_layer"] = {"seeds": [r["seed"] for r in traced], "median": layer_medians(traced)}
+    m = machine(a.records, a.workload, a.seeds)
+    if m:
+        entry["machine"] = m
 
     out = Path(f"BENCH_{a.workload}.json")
     doc = json.loads(out.read_text()) if out.exists() else {"workload": a.workload, "entries": []}
@@ -116,6 +179,11 @@ def compare(a, spec):
     print(f"{a.workload}, seeds {a.seeds[0]}-{a.seeds[-1]}: {len(old)} pairs; failed operations "
           f"{sum(r['failed'] for r in old)} of {sum(r['attempted'] for r in old)} (parent), "
           f"{sum(r['failed'] for r in new)} of {sum(r['attempted'] for r in new)} (change)")
+    for side, d in (("parent", a.parent), ("change", a.change)):
+        m = machine(d, a.workload, a.seeds)
+        if m:
+            print(f"machine ({side}, {m['runs']} runs): median load {m['load_before']:.2f} before, "
+                  f"{m['load_after']:.2f} after; median steal {m['steal_pct']:.2f}%")
     print(f"{'metric':<11} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
           f"{'change':>8} {'wins':>6} bound  beyond parent spread")
     for m in spec["end_to_end"]:
@@ -132,10 +200,13 @@ def compare(a, spec):
                                           for k in ("median", "q1", "q3")))
         print(f"{name:<11} {fmt(ps):>28} {fmt(cs):>28} {pct:>+7.1f}% {wins:>3}/{len(p):<2} "
               f"{'ok' if inside else 'OUT':<6} {'yes' if beyond else 'no'}")
-    differ = [r["seed"] for r, q in zip(old, new) if r["digests"] != q["digests"]]
+    differ = {r["seed"]: sorted(c for c in r["digests"] if r["digests"][c] != q["digests"].get(c))
+              for r, q in zip(old, new) if r["digests"] != q["digests"]}
     cells = sum(len(r["digests"]) for r in old)
     print(f"S digests: {cells} cells over {len(old)} seeds; "
-          + (f"differ at seeds {differ}" if differ else "identical at every seed"))
+          + (f"differ at seeds {sorted(differ)}" if differ else "identical at every seed"))
+    for seed, cs in differ.items():
+        print(f"  seed {seed}: {', '.join(cs)}")
     told, tnew = (load(d, a.workload, a.seeds, 1) for d in (a.parent, a.change))
     if told and tnew:
         lo, ln = layer_medians(told), layer_medians(tnew)
@@ -147,10 +218,13 @@ def compare(a, spec):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("append", "compare"):
+    for name in ("pairs", "append", "compare"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--workload", required=True)
         cmd.add_argument("--seeds", default="0-9", type=seed_list, help="e.g. 0-9 or 0,2,5-7")
+    sub.choices["pairs"].add_argument("--parent-root", required=True, type=Path,
+                                      help="a checkout of the parent commit")
+    sub.choices["pairs"].add_argument("--trace", default=0, type=int, choices=(0, 1))
     sub.choices["append"].add_argument("--label", required=True)
     sub.choices["append"].add_argument("--records", default=".bench_build/records", type=Path)
     sub.choices["compare"].add_argument("--parent", required=True, type=Path, help="the parent's records")
@@ -161,8 +235,7 @@ def main():
     spec = json.loads(Path("BENCHMARK.json").read_text())
     if a.workload not in {w["name"] for w in spec["workloads"]}:
         sys.exit(f"bench_entry: {a.workload} is not a workload of BENCHMARK.json")
-    (append if a.command == "append" else compare)(a, spec)
-    return 0
+    return {"pairs": pairs, "append": append, "compare": compare}[a.command](a, spec) or 0
 
 
 if __name__ == "__main__":
