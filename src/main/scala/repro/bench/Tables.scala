@@ -27,7 +27,7 @@ object Tables {
     specs.map { spec =>
       val g = spec.csr
       val dag = CsrGraph.orient(g, Orderings.byId(g.n))
-      val counts = BenchConfig.ks.map(k => NodeScores.countTotal(spark, dag, k))
+      val counts = BenchConfig.ks.map(k => NodeScores.totalCliques(NodeScores.compute(spark, dag, k), k))
       StatsRow(spec.name, g.n, g.undirectedEdgeCount, counts)
     }
 

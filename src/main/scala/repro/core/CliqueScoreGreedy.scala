@@ -35,6 +35,7 @@ object CliqueScoreGreedy {
     */
   def select(n: Int, k: Int, cliques: Cliques, sn: Array[Long]): DisjointResult = {
     require(cliques.k == k, s"cliques of ${cliques.k} nodes for k=$k")
+    require(sn.length == n, s"node scores cover ${sn.length} nodes, the graph has $n")
     val tau = cliques.length
     val nodes = cliques.nodes
     val lex = lexOrder(n, cliques)

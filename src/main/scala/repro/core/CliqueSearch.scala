@@ -193,13 +193,6 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     run(1, candBuf(0), len, 0L, null, f)
   }
 
-  /** Count cliques rooted at `u` without materialising them. */
-  def countFrom(u: Int, valid: Array[Boolean]): Long = {
-    var c = 0L
-    run(1, candBuf(0), root(u, valid), 0L, null, _ => c += 1)
-    c
-  }
-
   // ---------------------------------------------------------------------
   // Algorithm 1's FindOne: first k-clique containing u among valid nodes.
   // ---------------------------------------------------------------------
@@ -280,9 +273,9 @@ object CliqueSearch {
     Integer.compare(a.length, b.length)
   }
 
-  // The source pass, written once: each `(search, sources)` form visits
-  // the cliques rooted at `sources`. A Spark partition runs it over its
-  // range of sources; the `(dag, k)` forms run it over every node.
+  // The part functions of a source pass (`SourcePass`): each
+  // `(search, sources)` form visits the cliques rooted at `sources`; the
+  // `(dag, k)` forms run it over every node on the calling thread.
 
   /** Per-node counts of the cliques rooted at `sources` (node scores,
     * Definition 5, when the sources are every node).
@@ -301,14 +294,6 @@ object CliqueSearch {
 
   def countPerNode(dag: CsrGraph, k: Int): Array[Long] =
     countPerNode(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
-
-  /** Number of cliques rooted at `sources`. */
-  def countTotal(search: CliqueSearch, sources: Iterator[Int]): Long =
-    sources.map(search.countFrom(_, null)).sum
-
-  /** Total number of k-cliques in the DAG. */
-  def countTotal(dag: CsrGraph, k: Int): Long =
-    countTotal(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
 
   /** The cliques rooted at `sources`, flat and canonical (ids ascending). */
   def listAll(search: CliqueSearch, sources: Iterator[Int]): Cliques = {

@@ -55,6 +55,9 @@ object Cliques {
       len += k
     }
 
+    /** Number of cliques added so far. */
+    def length: Int = len / k
+
     /** The nodes added so far, trimmed to length. */
     def nodes: Array[Int] = if (len == buf.length) buf else Arrays.copyOf(buf, len)
   }

@@ -22,20 +22,23 @@ object ExactSolver {
   final case class OptResult(result: DisjointResult, optimal: Boolean,
                              cliqueCount: Long, conflictEdges: Long)
 
-  /** Left("OOM: ...") when the clique graph is over budget; otherwise the
-    * best packing found, with `optimal = false` meaning the time budget
-    * expired first (reported as OOT by the benches). After the deadline
-    * each component still finishes its first descent, which only ever
-    * covers, so an OOT packing is maximal.
+  /** Left("OOM: ...") when the clique graph is over budget: more than
+    * `maxCliques` cliques (the listing stops at the source that passes
+    * it) or more than `maxConflictEdges` sharing pairs. Otherwise the best
+    * packing found, with `optimal = false` meaning the time budget expired
+    * first (reported as OOT by the benches). After the deadline each
+    * component still finishes its first descent, which only ever covers,
+    * so an OOT packing is maximal.
     */
   def run(g: CsrGraph, k: Int,
           timeBudgetMs: Long = 60000L,
           maxCliques: Long = 2000000L,
           maxConflictEdges: Long = 50000000L): Either[String, OptResult] = {
-    val dag = CsrGraph.orient(g, Orderings.byId(g.n))
-    val tau = CliqueSearch.countTotal(dag, k)
-    if (tau > maxCliques) return Left(s"OOM: $tau cliques exceed budget $maxCliques")
-    val cliques = CliqueSearch.listAll(dag, k)
+    val lister = new CliqueSearch(CsrGraph.orient(g, Orderings.byId(g.n)), k)
+    val listed = new Cliques.Buffer(k)
+    val over = (0 until g.n).indexWhere { u => lister.forEachFrom(u, null)(listed.add); listed.length > maxCliques }
+    if (over >= 0) return Left(s"OOM: ${listed.length} cliques from sources 0..$over exceed budget $maxCliques")
+    val cliques = Cliques(k, listed.nodes)
     val nc = cliques.length
     val nodes = cliques.nodes
 
@@ -124,6 +127,6 @@ object ExactSolver {
       picked ++= bestSet
     }
     val resultCliques = picked.result().sorted.map(cliques(_)).toVector
-    Right(OptResult(DisjointResult(k, resultCliques), !timedOut, tau, conflictEdges))
+    Right(OptResult(DisjointResult(k, resultCliques), !timedOut, nc, conflictEdges))
   }
 }

@@ -91,19 +91,21 @@ object Lightweight {
     (DisjointResult(k, out.result()), Stats(findMinCalls, pushes, stale))
   }
 
-  /** Lines 6, 10-14: HeapInit — the local minimum of every source, on
-    * `workers` driver threads. Returns the slots: u's score, or
-    * `CliqueSearch.NoClique`, and u's clique at `nodes[u·k, (u+1)·k)`.
+  /** Lines 6, 10-14: HeapInit — the local minimum of every source, in one
+    * `SourcePass.onDriver` pass on `workers` driver threads. Returns the
+    * slots: u's score, or `CliqueSearch.NoClique`, and u's clique at
+    * `nodes[u·k, (u+1)·k)`.
     */
   private[core] def heapInit(dag: CsrGraph, k: Int, sn: Array[Long], prune: PruneMode,
                              workers: Int): (Array[Long], Array[Int]) = {
     val score = new Array[Long](dag.n)
     val nodes = new Array[Int](dag.n * k)
-    DriverParallel.forEachSource(dag.n, workers) { () =>
-      val search = new CliqueSearch(dag, k)
-      u => score(u) =
-        if (dag.degree(u) < k - 1) CliqueSearch.NoClique
-        else search.findMin(u, null, sn, prune, nodes, u * k)
+    SourcePass.onDriver(dag, k, workers) { (search, sources) =>
+      sources.foreach { u =>
+        score(u) =
+          if (dag.degree(u) < k - 1) CliqueSearch.NoClique
+          else search.findMin(u, null, sn, prune, nodes, u * k)
+      }
     }
     (score, nodes)
   }

@@ -70,10 +70,14 @@ object GraphGen {
     * communities of size `commSize`; each intra-community pair appears
     * with probability `pIntra` (dense => many k-cliques, the defining
     * property of the paper's social datasets), and uniformly random
-    * background edges are added until `targetM` is reached.
+    * background edges are added until `targetM` is reached. A target
+    * over n(n−1)/2 is rejected; one the background draws cannot reach
+    * throws rather than return fewer edges.
     */
   def community(n: Int, targetM: Int, commSize: Int, pIntra: Double, seed: Long): EdgeList = {
     require(commSize >= 2 && commSize <= n, s"bad community size $commSize for n=$n")
+    val maxM = n.toLong * (n - 1) / 2
+    require(targetM <= maxM, s"targetM=$targetM exceeds max $maxM for n=$n")
     val rnd = new Random(seed)
     // random permutation so community membership is not id-contiguous
     val perm = rnd.shuffle((0 until n).toVector).toArray
@@ -107,6 +111,8 @@ object GraphGen {
       add(rnd.nextInt(n), rnd.nextInt(n))
       guard += 1
     }
+    if (src.length < targetM)
+      throw new IllegalStateException(s"${src.length} of targetM=$targetM edges after $guard background draws for n=$n")
     EdgeList(n, src.toArray, dst.toArray)
   }
 }

@@ -143,6 +143,15 @@ class AlgorithmsSpec extends AnyFunSuite {
       CliqueScoreGreedy.select(g.n, 3, listed, Array.fill(g.n)(Long.MaxValue / 8)))
   }
 
+  test("GC select rejects a node-score array whose length is not n") {
+    val g = TestGraphs.complete(6)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
+    for (len <- Seq(g.n - 1, g.n + 1)) {
+      val e = intercept[IllegalArgumentException](CliqueScoreGreedy.select(g.n, 3, listed, new Array[Long](len)))
+      assert(e.getMessage.contains(s"cover $len nodes") && e.getMessage.contains(s"has ${g.n}"))
+    }
+  }
+
   // ------------------------------------------------------------ L/LP
 
   test("Lightweight on fig2 equals GC (Theorem 4) and is optimal") {

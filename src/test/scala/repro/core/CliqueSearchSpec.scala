@@ -19,8 +19,8 @@ class CliqueSearchSpec extends AnyFunSuite {
 
   test("fig2: total count is 7 and no 4-cliques exist") {
     val dag = CsrGraph.orient(TestGraphs.fig2, Orderings.byId(9))
-    assert(CliqueSearch.countTotal(dag, 3) == 7)
-    assert(CliqueSearch.countTotal(dag, 4) == 0)
+    assert(TestGraphs.tau(dag, 3) == 7)
+    assert(TestGraphs.tau(dag, 4) == 0)
   }
 
   test("fig2 node scores match Example 3: s_n(v6)=s_n(v5)=s_n(v8)=3") {
@@ -39,13 +39,13 @@ class CliqueSearchSpec extends AnyFunSuite {
     def choose(n: Int, k: Int): Long =
       (1 to k).foldLeft(1L)((acc, i) => acc * (n - i + 1) / i)
     for (k <- 2 to 6)
-      assert(CliqueSearch.countTotal(dag, k) == choose(8, k), s"k=$k")
+      assert(TestGraphs.tau(dag, k) == choose(8, k), s"k=$k")
   }
 
   test("path and cycle have no triangles") {
     for (g <- Seq(TestGraphs.path(10), TestGraphs.cycle(10))) {
       val dag = CsrGraph.orient(g, Orderings.byId(g.n))
-      assert(CliqueSearch.countTotal(dag, 3) == 0)
+      assert(TestGraphs.tau(dag, 3) == 0)
     }
   }
 
@@ -54,7 +54,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     for (rank <- Seq(Orderings.byId(3), Orderings.byDegree(g),
                      Orderings.fromKeys(3, u => (3 - u).toLong))) {
       val dag = CsrGraph.orient(g, rank)
-      assert(CliqueSearch.countTotal(dag, 3) == 1)
+      assert(TestGraphs.tau(dag, 3) == 1)
     }
   }
 
@@ -218,7 +218,7 @@ class CliqueSearchSpec extends AnyFunSuite {
       val dag = CsrGraph.orient(g, Orderings.byDegree(g))
       val listed = CliqueSearch.listAll(dag, k)
       assert(listed.k == k && listed.nodes.length == k * listed.length)
-      assert(listed.length.toLong == CliqueSearch.countTotal(dag, k))
+      assert(listed.length.toLong == TestGraphs.tau(dag, k))
       val cs = TestGraphs.grouped(listed).map(_.toSeq)
       assert(cs.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
       assert(cs.distinct.length == cs.length, "clique listed twice")

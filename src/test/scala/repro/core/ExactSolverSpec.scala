@@ -69,6 +69,20 @@ class ExactSolverSpec extends AnyFunSuite {
     assert(ExactSolver.run(g, 3, maxCliques = 100).isLeft)
   }
 
+  test("OPT's clique budget: τ = maxCliques is solved, τ = maxCliques + 1 is OOM") {
+    val g = TestGraphs.complete(12) // C(12,3) = 220 cliques
+    val Right(atBudget) = ExactSolver.run(g, 3, maxCliques = 220)
+    assert(atBudget.optimal && atBudget.cliqueCount == 220 && atBudget.result.size == 4)
+    assert(ExactSolver.run(g, 3, maxCliques = 219).isLeft)
+  }
+
+  test("OPT stops listing at the first source that takes it over the clique budget") {
+    // By id, source u of K12 roots the C(u,2) triangles on lower ids: sources
+    // 0..8 root C(9,3) = 84 of the 220, and 0..9 root C(10,3) = 120.
+    val Left(oom) = ExactSolver.run(TestGraphs.complete(12), 3, maxCliques = 100)
+    assert(oom.contains("120 cliques from sources 0..9"), oom)
+  }
+
   test("OPT reports non-optimal (OOT) under a tiny time budget on a hard instance") {
     val g = disjointUnion(Seq(TestGraphs.complete(4), TestGraphs.randomGraph(90, 0.5, 9),
                               TestGraphs.fig2, TestGraphs.randomGraph(40, 0.5, 10), TestGraphs.complete(5)))

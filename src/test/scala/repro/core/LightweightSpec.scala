@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicIntegerArray
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graphdata.GraphGen
@@ -47,12 +48,12 @@ class LightweightSpec extends AnyFunSuite {
   }
 
   test("HeapInit slots are identical on 1, 2 and 7 workers") {
-    assert(community.n > 30 * DriverParallel.Block)
+    assert(community.n > 30 * SourcePass.Block)
     for (k <- Seq(3, 6); mode <- modes) {
       val scores = sn(community, k)
       val dag = CsrGraph.orient(community, Orderings.byScore(scores))
       val (score1, nodes1) = Lightweight.heapInit(dag, k, scores, mode, workers = 1)
-      val blocks = score1.indices.filter(score1(_) != CliqueSearch.NoClique).map(_ / DriverParallel.Block).distinct
+      val blocks = score1.indices.filter(score1(_) != CliqueSearch.NoClique).map(_ / SourcePass.Block).distinct
       assert(blocks.size > 30, s"k=$k: cliques in only ${blocks.size} blocks")
       for (w <- Seq(2, 7)) {
         val (score, nodes) = Lightweight.heapInit(dag, k, scores, mode, workers = w)
@@ -62,25 +63,32 @@ class LightweightSpec extends AnyFunSuite {
     }
   }
 
-  test("forEachSource visits every source exactly once on 7 workers") {
-    val n = 50 * DriverParallel.Block + 17
+  /** n isolated nodes: a DAG for `SourcePass.onDriver` that roots no clique. */
+  private def isolated(n: Int): CsrGraph = TestGraphs.fromEdges(n, Seq.empty)
+
+  test("onDriver visits every source exactly once on 7 workers") {
+    val n = 50 * SourcePass.Block + 17
     val visits = new AtomicIntegerArray(n)
-    DriverParallel.forEachSource(n, 7)(() => u => visits.incrementAndGet(u))
+    SourcePass.onDriver(isolated(n), 3, 7)((_, sources) => sources.foreach(visits.incrementAndGet))
     assert((0 until n).forall(visits.get(_) == 1))
   }
 
   test("a worker failure is rethrown on the caller") {
-    val n = 40 * DriverParallel.Block
+    val n = 40 * SourcePass.Block
     val atSource = intercept[IllegalStateException] {
-      DriverParallel.forEachSource(n, 7)(() => u => if (u == 1234) throw new IllegalStateException("boom at 1234"))
+      SourcePass.onDriver(isolated(n), 3, 7) { (_, sources) =>
+        sources.foreach(u => if (u == 1234) throw new IllegalStateException("boom at 1234"))
+      }
     }
     assert(atSource.getMessage == "boom at 1234")
-    // Only pool threads throw here, never the calling thread.
+    // Only pool threads throw here, never the calling thread, which holds
+    // its first part until a pool worker has thrown.
     val caller = Thread.currentThread()
+    val thrown = new CountDownLatch(1)
     val inPool = intercept[ArithmeticException] {
-      DriverParallel.forEachSource(n, 3) { () =>
-        if (Thread.currentThread() ne caller) throw new ArithmeticException("pool worker")
-        _ => ()
+      SourcePass.onDriver(isolated(n), 3, 3) { (_, _) =>
+        if (Thread.currentThread() ne caller) { thrown.countDown(); throw new ArithmeticException("pool worker") }
+        assert(thrown.await(30, TimeUnit.SECONDS), "no pool worker ran")
       }
     }
     assert(inPool.getMessage == "pool worker")

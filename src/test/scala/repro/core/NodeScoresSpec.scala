@@ -15,7 +15,7 @@ class NodeScoresSpec extends SparkSpec {
       val driver = CliqueSearch.countPerNode(dag, k)
       val dist = NodeScores.compute(spark, dag, k)
       assert(dist.toSeq == driver.toSeq)
-      assert(NodeScores.countTotal(spark, dag, k) == TestGraphs.bruteCliques(g, k).size)
+      assert(NodeScores.totalCliques(dist, k) == TestGraphs.bruteCliques(g, k).size)
     }
   }
 
@@ -27,15 +27,17 @@ class NodeScoresSpec extends SparkSpec {
   }
 
   for (k <- 3 to 5) {
-    test(s"distributed countTotal == driver countTotal on a community graph, k=$k") {
+    test(s"distributed node scores and listing == driver on a community graph, k=$k") {
       // the second graph gives every partition several dealt-out blocks
-      val big = 3 * NodeScores.slices(spark) * DriverParallel.Block
+      val big = 3 * SourcePass.parts(spark.sparkContext.defaultParallelism) * SourcePass.Block
       for ((n, m, seed) <- Seq((500, 3000, 77L), (big, 6 * big, 78L))) {
         val g = GraphGen.community(n, m, 8, 0.8, seed = seed).toCsr
         for (dag <- Seq(CsrGraph.orient(g, Orderings.byDegree(g)), CsrGraph.orient(g, Orderings.byId(n)))) {
-          assert(NodeScores.countTotal(spark, dag, k) == CliqueSearch.countTotal(dag, k), s"n=$n")
-          assert(NodeScores.compute(spark, dag, k).toSeq == CliqueSearch.countPerNode(dag, k).toSeq, s"n=$n")
-          val dist = TestGraphs.grouped(SparkCliqueLister.listAll(spark, dag, k)).map(_.toSeq).toSeq
+          val driver = CliqueSearch.countPerNode(dag, k)
+          assert(NodeScores.compute(spark, dag, k).toSeq == driver.toSeq, s"n=$n")
+          val listed = SparkCliqueLister.listAll(spark, dag, k)
+          assert(listed.length.toLong == NodeScores.totalCliques(driver, k), s"n=$n")
+          val dist = TestGraphs.grouped(listed).map(_.toSeq).toSeq
           assert(dist.sorted == TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq.sorted, s"n=$n")
         }
       }
@@ -50,7 +52,8 @@ class NodeScoresSpec extends SparkSpec {
       val dist = TestGraphs.grouped(listed).map(_.toSeq).toSeq
       val driver = TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq
       assert(dist.sorted == driver.sorted)
-      assert(listed.length.toLong == CliqueSearch.countTotal(dag, k))
+      assert(listed.length.toLong == TestGraphs.tau(dag, k))
+      assert(listed.length == TestGraphs.bruteCliques(g, k).size)
       assert(dist.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
     }
   }

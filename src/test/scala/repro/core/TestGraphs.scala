@@ -101,4 +101,7 @@ object TestGraphs {
     bruteCliques(g, k).foreach(_.foreach(sn(_) += 1))
     sn
   }
+
+  /** τ of a DAG, the total of its per-node counts. */
+  def tau(dag: CsrGraph, k: Int): Long = NodeScores.totalCliques(CliqueSearch.countPerNode(dag, k), k)
 }

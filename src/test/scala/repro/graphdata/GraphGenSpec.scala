@@ -1,7 +1,7 @@
 package repro.graphdata
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CliqueSearch, CsrGraph, Orderings}
+import repro.core.{CsrGraph, Orderings, TestGraphs}
 
 class GraphGenSpec extends AnyFunSuite {
 
@@ -43,7 +43,7 @@ class GraphGenSpec extends AnyFunSuite {
     }
     // a deg-6 ring lattice is rich in triangles
     val dag = CsrGraph.orient(g, Orderings.byId(50))
-    assert(CliqueSearch.countTotal(dag, 3) > 0)
+    assert(TestGraphs.tau(dag, 3) > 0)
   }
 
   test("wattsStrogatz is deterministic in the seed") {
@@ -58,8 +58,14 @@ class GraphGenSpec extends AnyFunSuite {
     val g = e.toCsr
     val dag = CsrGraph.orient(g, Orderings.byDegree(g))
     // dense communities of size 8 must contain plenty of 3- and 4-cliques
-    assert(CliqueSearch.countTotal(dag, 3) > 100)
-    assert(CliqueSearch.countTotal(dag, 4) > 50)
+    assert(TestGraphs.tau(dag, 3) > 100)
+    assert(TestGraphs.tau(dag, 4) > 50)
+  }
+
+  test("community rejects a target over n(n-1)/2 edges") {
+    val e = intercept[IllegalArgumentException](GraphGen.community(10, 46, 5, 0.5, seed = 0))
+    assert(e.getMessage.contains("targetM=46") && e.getMessage.contains("max 45"))
+    assert(GraphGen.community(10, 45, 5, 0.5, seed = 0).m == 45)
   }
 
   test("community graphs are deterministic in the seed") {
