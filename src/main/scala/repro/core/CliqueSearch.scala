@@ -27,8 +27,10 @@ object PruneMode {
   * nodes, which is how the greedy algorithms shrink the residual graph
   * without rebuilding it.
   *
-  * All entry points share one recursion, `rec`; they differ only in the
-  * level-0 candidates, the prune limit and the leaf action.
+  * The enumerating entry points share one recursion, `rec`; they differ
+  * only in the level-0 candidates, the prune limit and the leaf action.
+  * Per-node counts (`countPerNode`) come from a second one, `pivot`,
+  * which counts the cliques of each source without visiting them.
   *
   * Not thread-safe: buffers are reused across calls. Create one instance
   * per thread / Spark partition.
@@ -256,6 +258,190 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     System.arraycopy(best, 0, out, at, k)
     bestScore
   }
+
+  // ---------------------------------------------------------------------
+  // Per-node counts by pivoting (Jain & Seshadhri's Pivoter), without
+  // visiting the cliques one by one.
+  // ---------------------------------------------------------------------
+
+  /** Words per bitset for the current source: ⌈d/64⌉, d its out-degree. */
+  private var words = 0
+  /** Row i, `words` longs: the positions in S, the current source's
+    * out-list, of the nodes adjacent to S(i). Allocated on the first
+    * count, with the rest of the pivoting scratch.
+    */
+  private var nbr: Array[Long] = null
+  /** The candidate set P of each recursion depth, `words` longs each. */
+  private var sets: Array[Long] = null
+  /** The current source's counts so far, by position in S. */
+  private var gained: Array[Long] = null
+  /** C(a, b) at a·(k+1) + b, for a up to the largest out-degree, b ≤ k. */
+  private var binom: Array[Long] = null
+  /** Running sums over the leaves visited for the current source: what
+    * each held node gets, and what each pivot gets. A node's count is the
+    * growth of its sum over its branch.
+    */
+  private var heldSum = 0L
+  private var pivotSum = 0L
+
+  private def allocatePivoting(): Unit = {
+    val d = math.max(dag.maxDegree, 1)
+    val w = (d + 63) >>> 6
+    nbr = new Array[Long](d * w)
+    sets = new Array[Long]((d + 1) * w)
+    gained = new Array[Long](d)
+    binom = new Array[Long]((d + 1) * (k + 1))
+    for (a <- 0 to d) {
+      binom(a * (k + 1)) = 1L
+      for (b <- 1 to math.min(a, k)) binom(a * (k + 1) + b) = binom((a - 1) * (k + 1) + b - 1) + binom((a - 1) * (k + 1) + b)
+    }
+  }
+
+  /** Add to `counts` every node's number of k-cliques rooted at `u`
+    * (exact modulo 2^64, like any sum of Longs). For k ≥ 3 they are u plus
+    * the (k−1)-cliques of its out-list S: build S's undirected adjacency
+    * as bitsets, by merging each out-list of S with S, then count by
+    * pivoting from u held and P = S.
+    */
+  private def countFrom(u: Int, counts: Array[Long]): Unit = {
+    val d = dag.degree(u)
+    val adj = dag.adj
+    val base = dag.offsets(u)
+    if (k == 2) { // the cliques are u's out-edges
+      counts(u) += d
+      for (o <- base until base + d) counts(adj(o)) += 1
+      return
+    }
+    if (d < k - 1) return
+    if (nbr == null) allocatePivoting()
+    val w = (d + 63) >>> 6
+    words = w
+    Arrays.fill(nbr, 0, d * w, 0L)
+    var i = 0
+    while (i < d) {
+      var o = dag.offsets(adj(base + i))
+      val end = dag.offsets(adj(base + i) + 1)
+      if (o < end) {
+        // skip the nodes of S below the out-list's first node
+        val at = Arrays.binarySearch(adj, base, base + d, adj(o))
+        var j = (if (at >= 0) at else -at - 1) - base
+        while (j < d && o < end) { // without branches: ids are ≥ 0, so a − b cannot overflow
+          val a = adj(base + j); val b = adj(o)
+          val hit = ((((a - b) | (b - a)) >>> 31) ^ 1).toLong // 1 when a == b
+          nbr(i * w + (j >>> 6)) |= hit << j
+          nbr(j * w + (i >>> 6)) |= hit << i
+          j += 1 - ((b - a) >>> 31)
+          o += 1 - ((a - b) >>> 31)
+        }
+      }
+      i += 1
+    }
+    Arrays.fill(sets, 0, w, -1L)
+    if ((d & 63) != 0) sets(w - 1) = -1L >>> (64 - (d & 63))
+    Arrays.fill(gained, 0, d, 0L)
+    heldSum = 0L
+    pivotSum = 0L
+    pivot(0, d, 1, 0)
+    counts(u) += heldSum
+    i = 0
+    while (i < d) { counts(adj(base + i)) += gained(i); i += 1 }
+  }
+
+  /** The number of v's neighbours in the set at `sets(at)`. */
+  private def inP(v: Int, at: Int): Int = {
+    val w = words
+    var c = 0
+    var j = 0
+    while (j < w) { c += java.lang.Long.bitCount(nbr(v * w + j) & sets(at + j)); j += 1 }
+    c
+  }
+
+  /** Count the k-cliques made of the `h` held nodes, a subset of the `q`
+    * pivots and a clique of P, the `size` nodes of `sets` at `depth`. The
+    * held nodes and the pivots form a clique, and every node of P is
+    * adjacent to all of them; h + q + size ≥ k.
+    *
+    * With r = k − h = 2 nodes left to choose, the cliques are the held
+    * nodes plus an adjacent pair of Q ∪ P (Q the pivots): each held node
+    * gets their number, C(q, 2) + q·size + |E(P)|, each pivot q − 1 + size
+    * and each node x of P q + deg_P(x). With r ≥ 3 and P empty, the r
+    * nodes come from the pivots: each held node gets C(q, r), each pivot
+    * C(q − 1, r − 1).
+    * Otherwise the pivot p is the node of P with the most neighbours in P,
+    * and the branches are the nodes v of P outside N(p), each on what is
+    * left of P within N(v): p joins the pivots, any other v the held
+    * nodes. A branch that cannot reach k nodes is cut.
+    */
+  private def pivot(depth: Int, size: Int, h: Int, q: Int): Unit = {
+    val w = words
+    val at = depth * w
+    val r = k - h
+    if (r == 2) {
+      // the adjacent pairs of Q ∪ P: all of Q–Q and Q–P, and P's edges
+      var twiceEdges = 0L
+      var i = 0
+      while (i < w) {
+        var x = sets(at + i)
+        while (x != 0) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(x)
+          val c = inP(v, at)
+          gained(v) += q + c
+          twiceEdges += c
+          x &= x - 1
+        }
+        i += 1
+      }
+      heldSum += q.toLong * (q - 1) / 2 + q.toLong * size + twiceEdges / 2
+      pivotSum += q - 1 + size
+    } else if (size == 0) {
+      heldSum += binom(q * (k + 1) + r)
+      pivotSum += binom((q - 1) * (k + 1) + r - 1)
+    } else {
+      var p = -1
+      var most = -1
+      var i = 0
+      while (i < w) {
+        var x = sets(at + i)
+        while (x != 0) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(x)
+          val c = inP(v, at)
+          if (c > most) { most = c; p = v }
+          x &= x - 1
+        }
+        i += 1
+      }
+      val next = at + w
+      i = 0
+      while (i < w) {
+        var x = sets(at + i) & ~nbr(p * w + i)
+        while (x != 0) {
+          val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(x)
+          var len = 0
+          var j = 0
+          while (j < w) {
+            val y = nbr(v * w + j) & sets(at + j)
+            sets(next + j) = y
+            len += java.lang.Long.bitCount(y)
+            j += 1
+          }
+          if (h + q + 1 + len >= k) {
+            if (v == p) {
+              val before = pivotSum
+              pivot(depth + 1, len, h, q + 1)
+              gained(v) += pivotSum - before
+            } else {
+              val before = heldSum
+              pivot(depth + 1, len, h + 1, q)
+              gained(v) += heldSum - before
+            }
+          }
+          sets(at + i) &= ~(1L << v)
+          x &= x - 1
+        }
+        i += 1
+      }
+    }
+  }
 }
 
 object CliqueSearch {
@@ -278,25 +464,19 @@ object CliqueSearch {
   // `(dag, k)` forms run it over every node on the calling thread.
 
   /** Per-node counts of the cliques rooted at `sources` (node scores,
-    * Definition 5, when the sources are every node).
+    * Definition 5, when the sources are every node), by pivoting.
     */
-  def countPerNode(search: CliqueSearch, sources: Iterator[Int]): Array[Long] = {
+  def countPerNode(search: CliqueSearch, sources: SourcePass.Sources): Array[Long] = {
     val counts = new Array[Long](search.dag.n)
-    val k = search.k
-    sources.foreach { u =>
-      search.forEachFrom(u, null) { c =>
-        var i = 0
-        while (i < k) { counts(c(i)) += 1; i += 1 }
-      }
-    }
+    sources.foreach(search.countFrom(_, counts))
     counts
   }
 
   def countPerNode(dag: CsrGraph, k: Int): Array[Long] =
-    countPerNode(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
+    countPerNode(new CliqueSearch(dag, k), SourcePass.dealt(dag.n, 1, 0))
 
   /** The cliques rooted at `sources`, flat and canonical (ids ascending). */
-  def listAll(search: CliqueSearch, sources: Iterator[Int]): Cliques = {
+  def listAll(search: CliqueSearch, sources: SourcePass.Sources): Cliques = {
     val out = new Cliques.Buffer(search.k)
     sources.foreach(search.forEachFrom(_, null)(out.add))
     Cliques(search.k, out.nodes)
@@ -304,5 +484,5 @@ object CliqueSearch {
 
   /** Materialise every k-clique, flat and canonical (ids ascending). */
   def listAll(dag: CsrGraph, k: Int): Cliques =
-    listAll(new CliqueSearch(dag, k), Iterator.range(0, dag.n))
+    listAll(new CliqueSearch(dag, k), SourcePass.dealt(dag.n, 1, 0))
 }

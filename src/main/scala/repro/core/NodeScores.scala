@@ -6,9 +6,10 @@ import org.apache.spark.sql.SparkSession
   * containing u — the dominant cost of GC/L/LP and the paper's natural
   * parallel phase ("for each node u in parallel").
   *
-  * One `SourcePass.onSpark` job: each partition enumerates the cliques
-  * rooted at its dealt sources into a partial per-node count array, and
-  * the partials merge by reduce.
+  * One `SourcePass.onSpark` job: each partition counts the cliques rooted
+  * at its dealt sources by pivoting (`CliqueSearch.countPerNode`), without
+  * visiting them, into a partial per-node count array, and the partials
+  * merge by reduce.
   */
 object NodeScores {
 

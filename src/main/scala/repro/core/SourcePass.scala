@@ -23,19 +23,28 @@ private[core] object SourcePass {
   /** Number of parts for a back end with `parallelism` workers. */
   def parts(parallelism: Int): Int = math.max(4 * parallelism, 8)
 
-  /** Part p's sources out of n: blocks p, p + parts, p + 2·parts, … of
-    * `Block` sources each. A source roots only cliques of nodes ranked
-    * below it, so the work per source can grow steeply along the ids;
-    * interleaved blocks spread it over the parts, where contiguous ranges
-    * leave it all to the last ones.
+  /** Some of the sources 0 until n: blocks first, first + step,
+    * first + 2·step, … of `Block` sources each, visited in order and
+    * unboxed.
     */
-  def dealt(n: Int, parts: Int, p: Int): Iterator[Int] = {
-    val blocks = ((n.toLong + Block - 1) / Block).toInt
-    Iterator.range(p, blocks, parts).flatMap { b =>
-      val from = b * Block
-      Iterator.range(from, if (n - from > Block) from + Block else n)
+  final class Sources private[SourcePass] (n: Int, first: Int, step: Int) {
+    def foreach(f: Int => Unit): Unit = {
+      var from = first.toLong * Block
+      while (from < n) {
+        val end = math.min(from + Block, n.toLong).toInt
+        var u = from.toInt
+        while (u < end) { f(u); u += 1 }
+        from += step.toLong * Block
+      }
     }
   }
+
+  /** Part p's sources out of n: blocks p, p + parts, p + 2·parts, … A
+    * source roots only cliques of nodes ranked below it, so the work per
+    * source can grow steeply along the ids; interleaved blocks spread it
+    * over the parts, where contiguous ranges leave it all to the last ones.
+    */
+  def dealt(n: Int, parts: Int, p: Int): Sources = new Sources(n, p, parts)
 
   /** One Spark job over the DAG's sources: each partition gets its dealt
     * sources and one `CliqueSearch`, and `part` turns them into that
@@ -43,7 +52,7 @@ private[core] object SourcePass {
     * while the DAG is still broadcast.
     */
   def onSpark[T: ClassTag, R](spark: SparkSession, dag: CsrGraph, k: Int)
-      (part: (CliqueSearch, Iterator[Int]) => Iterator[T])(merge: RDD[T] => R): R = {
+      (part: (CliqueSearch, Sources) => Iterator[T])(merge: RDD[T] => R): R = {
     require(k >= 2, s"k must be >= 2, got $k")
     val sc = spark.sparkContext
     val bc = sc.broadcast(dag)
@@ -79,7 +88,7 @@ private[core] object SourcePass {
     * worker throws, the others stop claiming, and the first failure is
     * rethrown here once all have stopped.
     */
-  def onDriver(dag: CsrGraph, k: Int, workers: Int)(part: (CliqueSearch, Iterator[Int]) => Unit): Unit = {
+  def onDriver(dag: CsrGraph, k: Int, workers: Int)(part: (CliqueSearch, Sources) => Unit): Unit = {
     require(workers >= 1, s"need at least one worker, got $workers")
     val ps = parts(workers)
     val next = new AtomicInteger(0)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graphdata.GraphGen
 import scala.collection.mutable.ArrayBuffer
 import scala.math.Ordering.Implicits.seqOrdering
 import scala.util.Random
@@ -114,6 +115,72 @@ class CliqueSearchSpec extends AnyFunSuite {
       val dag = CsrGraph.orient(g, Orderings.byId(g.n))
       assert(CliqueSearch.countPerNode(dag, k).toSeq ==
              TestGraphs.bruteNodeScores(g, k).toSeq)
+    }
+  }
+
+  // Per-node counts come from pivoting, which shares no code with the
+  // enumerating recursion: check them against brute force and against the
+  // per-node histogram of `listAll`.
+
+  /** How many of `listed`'s cliques each of n nodes is in. */
+  private def histogram(n: Int, listed: Cliques): Seq[Long] = {
+    val h = new Array[Long](n)
+    listed.nodes.foreach(h(_) += 1)
+    h.toSeq
+  }
+
+  /** Node 0 joined to every node of G(n, 0.3), on ids 1..n. */
+  private def hubOver(n: Int, seed: Long): CsrGraph = {
+    val g = TestGraphs.randomGraph(n, 0.3, seed)
+    val edges = for (u <- 0 until n; v <- g.neighborsOf(u) if u < v) yield (u + 1, v + 1)
+    TestGraphs.fromEdges(n + 1, edges ++ (1 to n).map((0, _)))
+  }
+
+  for (k <- 2 to 6) {
+    test(s"pivot counts == brute force on random graphs, k=$k") {
+      for (seed <- 0 until 6) {
+        val g = TestGraphs.randomGraph(14 + 2 * seed, 0.3 + 0.1 * seed, 4100L + 10 * k + seed)
+        val brute = TestGraphs.bruteNodeScores(g, k).toSeq
+        for (rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g), Array.tabulate(g.n)(u => g.n - 1 - u)))
+          assert(CliqueSearch.countPerNode(CsrGraph.orient(g, rank), k).toSeq == brute, s"seed=$seed")
+      }
+    }
+  }
+
+  for (k <- 3 to 6) {
+    test(s"pivot counts == listAll's per-node histogram on community graphs, k=$k") {
+      for (seed <- Seq(61L, 62L)) {
+        val g = GraphGen.community(900, 7000, 14, 0.85, seed = seed).toCsr
+        for (dag <- Seq(CsrGraph.orient(g, Orderings.byId(g.n)), CsrGraph.orient(g, Orderings.byDegree(g))))
+          assert(CliqueSearch.countPerNode(dag, k).toSeq == histogram(g.n, CliqueSearch.listAll(dag, k)), s"seed=$seed")
+      }
+    }
+  }
+
+  test("pivot counts on sources of out-degree over 64 and over 128 (multi-word sets)") {
+    for ((n, seed) <- Seq((100, 71L), (150, 72L))) {
+      val g = hubOver(n, seed)
+      for (rank <- Seq(Orderings.byDegree(g), Array.tabulate(g.n)(u => g.n - 1 - u))) {
+        val dag = CsrGraph.orient(g, rank)
+        assert(dag.degree(0) == n)
+        for (k <- 2 to 5) {
+          val counts = CliqueSearch.countPerNode(dag, k).toSeq
+          assert(counts == histogram(g.n, CliqueSearch.listAll(dag, k)), s"n=$n k=$k")
+          if (k <= 4) assert(counts == TestGraphs.bruteNodeScores(g, k).toSeq, s"n=$n k=$k")
+        }
+      }
+    }
+  }
+
+  test("pivot counts with isolated nodes and sources of out-degree below k-1") {
+    // K5 on 0..4, a path 5-6-7, a star centred on 8, and isolated 12..14
+    val edges = (for (u <- 0 until 5; v <- u + 1 until 5) yield (u, v)) ++
+      Seq((5, 6), (6, 7), (8, 9), (8, 10), (8, 11))
+    val g = TestGraphs.fromEdges(15, edges)
+    for (k <- 2 to 6; rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g))) {
+      val counts = CliqueSearch.countPerNode(CsrGraph.orient(g, rank), k)
+      assert(counts.toSeq == TestGraphs.bruteNodeScores(g, k).toSeq, s"k=$k")
+      assert((12 until 15).forall(counts(_) == 0), s"k=$k")
     }
   }
 

@@ -9,7 +9,11 @@ class SourcePassSpec extends SparkSpec {
 
   test("dealt puts every source in exactly one part, in whole interleaved blocks") {
     for (n <- Seq(0, 1, 63, 64, 50 * SourcePass.Block + 17); parts <- Seq(1, 7, 8, 64)) {
-      val byPart = (0 until parts).map(p => SourcePass.dealt(n, parts, p).toVector)
+      val byPart = (0 until parts).map { p =>
+        val sources = Vector.newBuilder[Int]
+        SourcePass.dealt(n, parts, p).foreach(sources += _)
+        sources.result()
+      }
       assert(byPart.flatten.sorted == (0 until n), s"n=$n parts=$parts")
       for (p <- 0 until parts)
         assert(byPart(p).forall(u => (u / SourcePass.Block) % parts == p), s"n=$n parts=$parts p=$p")

@@ -22,6 +22,8 @@ under its own .bench_build/ (CARGO_TARGET_DIR is not passed on).
 append and compare read the perfbench records
 <records>/<workload>-seed<s>-trace0.json of the given seeds, and the traced
 records <workload>-seed<s>-trace1.json of the same seeds when there are any.
+A traced record whose source_stamp is not the untraced runs' stamp (one
+left by an earlier commit) is skipped, and its name printed.
 
 append adds to the committed trajectory BENCH_<workload>.json (created when
 missing) one entry with:
@@ -80,12 +82,28 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def load(records, workload, seeds, trace):
+def load(records, workload, seeds, trace, stamp=None):
+    """The records of these seeds; with a stamp, only those of the sources
+    it names, printing the name of each record skipped."""
     paths = [records / f"{workload}-seed{s}-trace{trace}.json" for s in seeds]
     missing = [str(p) for p in paths if not p.exists()]
     if trace == 0 and missing:
         sys.exit(f"bench_entry: missing records: {', '.join(missing)}")
-    return [json.loads(p.read_text()) for p in paths if p.exists()]
+    out = []
+    for p in paths:
+        if p.exists():
+            r = json.loads(p.read_text())
+            if stamp is None or r["env"]["source_stamp"] == stamp:
+                out.append(r)
+            else:
+                print(f"bench_entry: skipping {p}: sources {r['env']['source_stamp']}, not the runs' {stamp}")
+    return out
+
+
+def traced_like(records, workload, seeds, runs):
+    """The traced records of these seeds that measure the same sources as
+    the untraced runs."""
+    return load(records, workload, seeds, 1, one(runs, "sources", lambda r: r["env"]["source_stamp"]))
 
 
 def machine(records, workload, seeds):
@@ -143,7 +161,7 @@ def layer_medians(traced):
 
 def append(a, spec):
     runs = load(a.records, a.workload, a.seeds, 0)
-    traced = load(a.records, a.workload, a.seeds, 1)
+    traced = traced_like(a.records, a.workload, a.seeds, runs)
     both = runs + traced
     entry = {
         "label": a.label,
@@ -207,7 +225,7 @@ def compare(a, spec):
           + (f"differ at seeds {sorted(differ)}" if differ else "identical at every seed"))
     for seed, cs in differ.items():
         print(f"  seed {seed}: {', '.join(cs)}")
-    told, tnew = (load(d, a.workload, a.seeds, 1) for d in (a.parent, a.change))
+    told, tnew = (traced_like(d, a.workload, a.seeds, runs) for d, runs in ((a.parent, old), (a.change, new)))
     if told and tnew:
         lo, ln = layer_medians(told), layer_medians(tnew)
         print(f"per-layer medians, traced seeds {[r['seed'] for r in told]} -> {[r['seed'] for r in tnew]}:")
