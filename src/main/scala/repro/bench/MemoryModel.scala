@@ -34,7 +34,12 @@ object MemoryModel {
   def lpBytes(g: CsrGraph, k: Int): Long =
     baseBytes(g) + 8L * g.n + g.n.toLong * (objHeader + 8 + 4 + arrayHeader + 4L * k)
 
-  /** LP base + τ cliques (k-int array each) + the τ-long sort order. */
+  /** LP base + τ cliques (k-int array each) + the τ-long sort order.
+    * This models the paper's GC, and it feeds `optBytes` and the OOM
+    * gate, so it stays as is; `CliqueScoreGreedy.select` holds τ clique
+    * scores and two τ-int orders instead, 16τ bytes beside the flat
+    * 4kτ-byte clique array.
+    */
   def gcBytes(g: CsrGraph, k: Int, tau: Long): Long =
     lpBytes(g, k) + tau * (arrayHeader + 4L * k + 8L) + 8L * tau
 

@@ -33,16 +33,10 @@ object Lightweight {
       throw new IllegalStateException(
         s"$n sources of k=$k need ${n.toLong * k} slot ids, over Int.MaxValue for the slot array")
 
-  def run(g: CsrGraph, k: Int, snIn: Array[Long] = null,
-          prune: PruneMode = PruneMode.Paper): (DisjointResult, Stats) = {
-    require(snIn == null || snIn.length == g.n,
-      s"node scores cover ${snIn.length} nodes, the graph has ${g.n}")
+  /** L or LP on node scores `sn` from the caller (line 2, Definition 5). */
+  def run(g: CsrGraph, k: Int, sn: Array[Long], prune: PruneMode): (DisjointResult, Stats) = {
+    require(sn.length == g.n, s"node scores cover ${sn.length} nodes, the graph has ${g.n}")
     checkSize(g.n, k)
-    // Line 2: node scores from one enumeration pass (no cliques stored).
-    val sn = if (snIn != null) snIn else {
-      val dag0 = CsrGraph.orient(g, Orderings.byId(g.n))
-      CliqueSearch.countPerNode(dag0, k)
-    }
     // Lines 3-4: score ordering, DAG orientation.
     val rank = Orderings.byScore(sn)
     val dag = CsrGraph.orient(g, rank)
@@ -90,6 +84,12 @@ object Lightweight {
     }
     (DisjointResult(k, out.result()), Stats(findMinCalls, pushes, stale))
   }
+
+  /** LP on node scores counted on the driver. perfbench's LP ≤ OPT ≤ k·LP
+    * check calls this form; every other caller passes its own scores.
+    */
+  def run(g: CsrGraph, k: Int): (DisjointResult, Stats) =
+    run(g, k, CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(g.n)), k), PruneMode.Paper)
 
   /** Lines 6, 10-14: HeapInit — the local minimum of every source, in one
     * `SourcePass.onDriver` pass on `workers` driver threads. Returns the

@@ -14,9 +14,7 @@ import org.apache.spark.sql.SparkSession
 object NodeScores {
 
   def compute(spark: SparkSession, dag: CsrGraph, k: Int): Array[Long] =
-    SourcePass.onSpark(spark, dag, k) { (search, sources) =>
-      Iterator.single(CliqueSearch.countPerNode(search, sources))
-    } {
+    SourcePass.onSpark(spark, dag, k)(CliqueSearch.countPerNode(_, _)) {
       _.reduce { (a, b) =>
         var i = 0
         while (i < a.length) { a(i) += b(i); i += 1 }
@@ -38,7 +36,6 @@ object NodeScores {
 object SparkCliqueLister {
 
   def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques =
-    SourcePass.onSpark(spark, dag, k) { (search, sources) =>
-      Iterator.single(CliqueSearch.listAll(search, sources).nodes)
-    }(blocks => Cliques.concat(k, blocks.collect()))
+    SourcePass.onSpark(spark, dag, k)(CliqueSearch.listAll(_, _).nodes)(
+      blocks => Cliques.concat(k, blocks.collect()))
 }

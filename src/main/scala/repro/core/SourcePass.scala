@@ -46,20 +46,20 @@ private[core] object SourcePass {
     */
   def dealt(n: Int, parts: Int, p: Int): Sources = new Sources(n, p, parts)
 
-  /** One Spark job over the DAG's sources: each partition gets its dealt
-    * sources and one `CliqueSearch`, and `part` turns them into that
-    * partition's output; `merge` runs the action on the resulting RDD
-    * while the DAG is still broadcast.
+  /** One Spark job over the DAG's sources: each partition holds one part
+    * number, and `part` turns that part's dealt sources, with one
+    * `CliqueSearch`, into the partition's one element; `merge` runs the
+    * action on the resulting RDD while the DAG is still broadcast.
     */
   def onSpark[T: ClassTag, R](spark: SparkSession, dag: CsrGraph, k: Int)
-      (part: (CliqueSearch, Sources) => Iterator[T])(merge: RDD[T] => R): R = {
+      (part: (CliqueSearch, Sources) => T)(merge: RDD[T] => R): R = {
     require(k >= 2, s"k must be >= 2, got $k")
     val sc = spark.sparkContext
     val bc = sc.broadcast(dag)
     val ps = parts(sc.defaultParallelism)
-    try merge(sc.parallelize(0 until ps, ps).mapPartitions(_.flatMap { p =>
+    try merge(sc.parallelize(0 until ps, ps).map { p =>
       part(new CliqueSearch(bc.value, k), dealt(bc.value.n, ps, p))
-    }))
+    })
     finally bc.destroy()
   }
 

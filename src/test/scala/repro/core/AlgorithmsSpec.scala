@@ -8,8 +8,7 @@ import scala.util.Random
 /** HG (Algorithm 1), GC (Algorithm 2), L/LP (Algorithm 3). */
 class AlgorithmsSpec extends AnyFunSuite {
 
-  private def sn(g: CsrGraph, k: Int): Array[Long] =
-    CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(g.n)), k)
+  import TestGraphs.nodeScores
 
   // -------------------------------------------------------------- HG
 
@@ -60,7 +59,7 @@ class AlgorithmsSpec extends AnyFunSuite {
   // -------------------------------------------------------------- GC
 
   test("GC on fig2 is valid, maximal and optimal (3 cliques)") {
-    val (r, stored) = CliqueScoreGreedy.run(TestGraphs.fig2, 3)
+    val (r, stored) = TestGraphs.gc(TestGraphs.fig2, 3, nodeScores(TestGraphs.fig2, 3))
     assert(Validation.validate(TestGraphs.fig2, r).isEmpty)
     assert(Validation.isMaximal(TestGraphs.fig2, r))
     assert(stored == 7)
@@ -69,14 +68,14 @@ class AlgorithmsSpec extends AnyFunSuite {
   }
 
   test("GC clique score matches Example 3: s_c(C3) = 9") {
-    val scores = sn(TestGraphs.fig2, 3)
-    assert(CliqueScoreGreedy.cliqueScore(Array(4, 5, 7), scores) == 9)
+    val scores = nodeScores(TestGraphs.fig2, 3)
+    assert(TestGraphs.cliqueScore(Seq(4, 5, 7), scores) == 9)
   }
 
   for (k <- 3 to 5; seed <- 0 until 5) {
     test(s"GC validity + maximality on random graphs k=$k seed=$seed") {
       val g = TestGraphs.randomGraph(18 + seed * 2, 0.45, 190L + seed)
-      val (r, _) = CliqueScoreGreedy.run(g, k)
+      val (r, _) = TestGraphs.gc(g, k, nodeScores(g, k))
       assert(Validation.validate(g, r).isEmpty)
       assert(Validation.isMaximal(g, r))
     }
@@ -88,7 +87,7 @@ class AlgorithmsSpec extends AnyFunSuite {
   private def referenceGc(n: Int, cliques: Seq[Set[Int]], scores: Array[Long]): Seq[Seq[Int]] = {
     val used = new Array[Boolean](n)
     cliques.map(_.toSeq.sorted)
-      .sortBy(c => (CliqueScoreGreedy.cliqueScore(c.toArray, scores), c))
+      .sortBy(c => (TestGraphs.cliqueScore(c, scores), c))
       .filter { c =>
         val free = c.forall(!used(_))
         if (free) c.foreach(used(_) = true)
@@ -99,19 +98,46 @@ class AlgorithmsSpec extends AnyFunSuite {
   /** select on the listing of the score-ordered DAG, and on a shuffled
     * copy of it, both equal the reference in content and selection order.
     */
-  private def assertGcOrder(g: CsrGraph, k: Int, seed: Long): Unit = {
-    val scores = sn(g, k)
+  private def assertGcOrder(g: CsrGraph, k: Int, scores: Array[Long], seed: Long): Unit = {
     val want = referenceGc(g.n, TestGraphs.bruteCliques(g, k).toSeq, scores)
     val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byScore(scores)), k)
     val shuffled = Cliques(k, new Random(seed).shuffle(TestGraphs.grouped(listed).toSeq).flatten.toArray)
     for (cliques <- Seq(listed, shuffled))
       assert(CliqueScoreGreedy.select(g.n, k, cliques, scores).cliques.map(_.toSeq) == want)
-    assert(CliqueScoreGreedy.run(g, k, scores)._1.cliques.map(_.toSeq) == want)
   }
 
   for (k <- 3 to 6; seed <- 0 until 4) {
     test(s"GC select order equals the (score, canon) tuple-sort reference k=$k seed=$seed") {
-      assertGcOrder(TestGraphs.randomGraph(16 + 2 * seed, 0.55, 333L * k + seed), k, seed)
+      val g = TestGraphs.randomGraph(16 + 2 * seed, 0.55, 333L * k + seed)
+      assertGcOrder(g, k, nodeScores(g, k), seed)
+    }
+  }
+
+  /** Supplied node scores of `digits` 16-bit digits, each digit one of a
+    * few values, so that many cliques tie on a digit and clique sums carry
+    * from one digit into the next. The top digit stays small enough that
+    * a sum of k ≤ 6 scores fits a `Long`.
+    */
+  private def digitScores(n: Int, digits: Int, seed: Long): Array[Long] = {
+    val rnd = new Random(seed)
+    val low = Array(0L, 1L, 0xFFFFL)
+    Array.fill(n) {
+      (0 until digits).map { d =>
+        val v = if (d == digits - 1) 1L + rnd.nextInt(3) else low(rnd.nextInt(low.length))
+        v << (16 * d)
+      }.sum
+    }
+  }
+
+  for (digits <- 2 to 4; k <- 3 to 5) {
+    test(s"GC select order equals the tuple-sort reference on supplied $digits-digit scores k=$k") {
+      for (seed <- 0 until 3) {
+        val g = TestGraphs.randomGraph(18 + 2 * seed, 0.55, 4000L * digits + 10 * k + seed)
+        val scores = digitScores(g.n, digits, seed)
+        val bits = 64 - java.lang.Long.numberOfLeadingZeros(scores.max)
+        assert(bits > 16 * (digits - 1) && bits <= 16 * digits, s"$bits bits")
+        assertGcOrder(g, k, scores, seed)
+      }
     }
   }
 
@@ -120,11 +146,11 @@ class AlgorithmsSpec extends AnyFunSuite {
     val k5s = for (b <- 0 until 4; i <- 0 until 5; j <- i + 1 until 5) yield (5 * b + i, 5 * b + j)
     val k7 = for (i <- 0 until 7; j <- i + 1 until 7) yield (20 + i, 20 + j)
     for (g <- Seq(TestGraphs.fromEdges(27, k5s ++ k7), TestGraphs.complete(10)); k <- 3 to 5) {
-      val scores = sn(g, k)
+      val scores = nodeScores(g, k)
       val cliques = TestGraphs.bruteCliques(g, k).toSeq
-      val distinctScores = cliques.map(c => CliqueScoreGreedy.cliqueScore(c.toArray, scores)).distinct
+      val distinctScores = cliques.map(TestGraphs.cliqueScore(_, scores)).distinct
       assert(distinctScores.size < cliques.size / 4, s"k=$k: too few ties")
-      assertGcOrder(g, k, k)
+      assertGcOrder(g, k, scores, k)
     }
   }
 
@@ -133,14 +159,31 @@ class AlgorithmsSpec extends AnyFunSuite {
     val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
     assert(listed.length == 0)
     assert(CliqueScoreGreedy.select(g.n, 3, listed, new Array[Long](g.n)).size == 0)
-    assert(CliqueScoreGreedy.run(g, 3) == (DisjointResult.empty(3), 0L))
+    assert(TestGraphs.gc(g, 3, nodeScores(g, 3)) == (DisjointResult.empty(3), 0L))
   }
 
-  test("GC select rejects scores whose packed key would overflow") {
+  test("GC select rejects a negative node score") {
     val g = TestGraphs.complete(6)
     val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
-    intercept[IllegalArgumentException](
-      CliqueScoreGreedy.select(g.n, 3, listed, Array.fill(g.n)(Long.MaxValue / 8)))
+    val scores = Array.fill(g.n)(5L)
+    scores(4) = -1
+    val e = intercept[IllegalArgumentException](CliqueScoreGreedy.select(g.n, 3, listed, scores))
+    assert(e.getMessage.contains("node 4 has score -1"))
+  }
+
+  test("GC select rejects a clique score over Long.MaxValue") {
+    val g = TestGraphs.complete(6)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
+    val scores = Array.fill(g.n)(1L)
+    scores(2) = Long.MaxValue - 1
+    val e = intercept[IllegalArgumentException](CliqueScoreGreedy.select(g.n, 3, listed, scores))
+    assert(e.getMessage.contains("over Long.MaxValue"))
+  }
+
+  test("GC select orders node scores of Long.MaxValue / 8") {
+    val g = TestGraphs.complete(6)
+    val scores = Array.tabulate(g.n)(u => Long.MaxValue / 8 - (u % 2))
+    assertGcOrder(g, 3, scores, 0)
   }
 
   test("GC select rejects a node-score array whose length is not n") {
@@ -155,8 +198,8 @@ class AlgorithmsSpec extends AnyFunSuite {
   // ------------------------------------------------------------ L/LP
 
   test("Lightweight on fig2 equals GC (Theorem 4) and is optimal") {
-    val scores = sn(TestGraphs.fig2, 3)
-    val (gc, _) = CliqueScoreGreedy.run(TestGraphs.fig2, 3, scores)
+    val scores = nodeScores(TestGraphs.fig2, 3)
+    val (gc, _) = TestGraphs.gc(TestGraphs.fig2, 3, scores)
     for (mode <- Seq(PruneMode.NoPrune, PruneMode.Strict)) {
       val (lw, _) = Lightweight.run(TestGraphs.fig2, 3, scores, mode)
       assert(lw.cliqueSets == gc.cliqueSets, s"mode=$mode")
@@ -167,8 +210,8 @@ class AlgorithmsSpec extends AnyFunSuite {
   for (k <- 3 to 5; seed <- 0 until 8) {
     test(s"Theorem 4: L (NoPrune/Strict) produces exactly GC's S, k=$k seed=$seed") {
       val g = TestGraphs.randomGraph(16 + seed, 0.5, 777L * k + seed)
-      val scores = sn(g, k)
-      val (gc, _) = CliqueScoreGreedy.run(g, k, scores)
+      val scores = nodeScores(g, k)
+      val (gc, _) = TestGraphs.gc(g, k, scores)
       val (l, _) = Lightweight.run(g, k, scores, PruneMode.NoPrune)
       val (ls, _) = Lightweight.run(g, k, scores, PruneMode.Strict)
       assert(l.cliqueSets == gc.cliqueSets, "NoPrune != GC")
@@ -182,8 +225,8 @@ class AlgorithmsSpec extends AnyFunSuite {
       // ordering quality "may differ slightly"; sizes still match in
       // practice on these inputs because selection is by minimum score.
       val g = TestGraphs.randomGraph(16 + seed, 0.5, 888L * k + seed)
-      val scores = sn(g, k)
-      val (gc, _) = CliqueScoreGreedy.run(g, k, scores)
+      val scores = nodeScores(g, k)
+      val (gc, _) = TestGraphs.gc(g, k, scores)
       val (lp, _) = Lightweight.run(g, k, scores, PruneMode.Paper)
       assert(Validation.validate(g, lp).isEmpty)
       assert(Validation.isMaximal(g, lp))
@@ -194,14 +237,15 @@ class AlgorithmsSpec extends AnyFunSuite {
 
   test("Lightweight prune stats: pruning reduces or keeps findMin work") {
     val g = TestGraphs.randomGraph(60, 0.3, 42)
-    val scores = sn(g, 3)
+    val scores = nodeScores(g, 3)
     val (_, noStats) = Lightweight.run(g, 3, scores, PruneMode.NoPrune)
     val (_, lpStats) = Lightweight.run(g, 3, scores, PruneMode.Paper)
     assert(lpStats.findMinCalls <= noStats.findMinCalls + 1)
   }
 
   test("Lightweight handles graphs with zero k-cliques") {
-    val (r, stats) = Lightweight.run(TestGraphs.cycle(10), 3)
+    val g = TestGraphs.cycle(10)
+    val (r, stats) = Lightweight.run(g, 3, nodeScores(g, 3), PruneMode.Paper)
     assert(r.size == 0)
     assert(stats.heapPushes == 0)
   }
@@ -209,7 +253,7 @@ class AlgorithmsSpec extends AnyFunSuite {
   test("all three algorithms agree on K_12, k=4 (3 disjoint cliques)") {
     val g = TestGraphs.complete(12)
     assert(BasicFramework.run(g, 4).size == 3)
-    assert(CliqueScoreGreedy.run(g, 4)._1.size == 3)
+    assert(TestGraphs.gc(g, 4, nodeScores(g, 4))._1.size == 3)
     assert(Lightweight.run(g, 4)._1.size == 3)
   }
 }

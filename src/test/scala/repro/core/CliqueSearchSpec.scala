@@ -249,7 +249,7 @@ class CliqueSearchSpec extends AnyFunSuite {
             case None =>
               assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"k=$k u=$u")
             case Some(cs) =>
-              val want = cs.map(c => (CliqueScoreGreedy.cliqueScore(c, sn), c.sorted))
+              val want = cs.map(c => (TestGraphs.cliqueScore(c, sn), c.sorted))
                 .reduceLeft { (a, b) =>
                   if (b._1 < a._1 || (b._1 == a._1 && CliqueSearch.compareCanon(b._2, a._2) < 0)) b else a
                 }
@@ -269,11 +269,11 @@ class CliqueSearchSpec extends AnyFunSuite {
         byRoot.get(u) match {
           case None => assert(score == CliqueSearch.NoClique, s"k=$k u=$u")
           case Some(cs) =>
-            val minScore = cs.map(CliqueScoreGreedy.cliqueScore(_, sn)).min
+            val minScore = cs.map(TestGraphs.cliqueScore(_, sn)).min
             assert(score == minScore, s"k=$k u=$u")
             val c = slots.slice(u * k, u * k + k)
             assert(cs.exists(_.sorted.sameElements(c)), s"k=$k u=$u: slot holds no valid clique rooted at u")
-            assert(CliqueScoreGreedy.cliqueScore(c, sn) == minScore, s"k=$k u=$u")
+            assert(TestGraphs.cliqueScore(c, sn) == minScore, s"k=$k u=$u")
         }
       }
     }

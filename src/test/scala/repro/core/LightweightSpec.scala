@@ -11,16 +11,13 @@ import repro.graphdata.GraphGen
   */
 class LightweightSpec extends AnyFunSuite {
 
-  private def sn(g: CsrGraph, k: Int): Array[Long] =
-    CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(g.n)), k)
-
   /** Spans about 40 source blocks, with cliques up to k=6. */
   private lazy val community = GraphGen.community(2500, 14000, 12, 0.85, seed = 31L).toCsr
 
   private val modes = Seq(PruneMode.NoPrune, PruneMode.Strict, PruneMode.Paper)
 
   private def assertSameAsReference(g: CsrGraph, k: Int, what: String): Unit = {
-    val scores = sn(g, k)
+    val scores = TestGraphs.nodeScores(g, k)
     for (mode <- modes) {
       val (got, gotStats) = Lightweight.run(g, k, scores, mode)
       val (want, wantStats) = ReferenceLightweight.run(g, k, scores, mode)
@@ -50,7 +47,7 @@ class LightweightSpec extends AnyFunSuite {
   test("HeapInit slots are identical on 1, 2 and 7 workers") {
     assert(community.n > 30 * SourcePass.Block)
     for (k <- Seq(3, 6); mode <- modes) {
-      val scores = sn(community, k)
+      val scores = TestGraphs.nodeScores(community, k)
       val dag = CsrGraph.orient(community, Orderings.byScore(scores))
       val (score1, nodes1) = Lightweight.heapInit(dag, k, scores, mode, workers = 1)
       val blocks = score1.indices.filter(score1(_) != CliqueSearch.NoClique).map(_ / SourcePass.Block).distinct
@@ -96,7 +93,7 @@ class LightweightSpec extends AnyFunSuite {
 
   test("a node-score array of the wrong length fails at the boundary") {
     val g = TestGraphs.fig2
-    val e = intercept[IllegalArgumentException](Lightweight.run(g, 3, new Array[Long](g.n - 1)))
+    val e = intercept[IllegalArgumentException](Lightweight.run(g, 3, new Array[Long](g.n - 1), PruneMode.Paper))
     assert(e.getMessage.contains(s"cover ${g.n - 1} nodes") && e.getMessage.contains(s"has ${g.n}"))
   }
 

@@ -67,7 +67,7 @@ class NodeScoresSpec extends SparkSpec {
     val dag = CsrGraph.orient(g, rank)
     val sparkCliques = SparkCliqueLister.listAll(spark, dag, k)
     val viaSpark = CliqueScoreGreedy.select(g.n, k, sparkCliques, sn)
-    val (viaDriver, _) = CliqueScoreGreedy.run(g, k, sn)
+    val (viaDriver, _) = TestGraphs.gc(g, k, sn)
     assert(viaSpark.cliqueSets == viaDriver.cliqueSets)
     assert(viaSpark.cliques.map(_.toSeq) == viaDriver.cliques.map(_.toSeq), "selection order")
   }

@@ -102,6 +102,21 @@ object TestGraphs {
     sn
   }
 
+  /** Node scores (Definition 5), counted on the driver over the by-id DAG. */
+  def nodeScores(g: CsrGraph, k: Int): Array[Long] =
+    CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(g.n)), k)
+
+  /** Clique score s_c(C) = Σ_{u∈C} s_n(u) (Definition 6). */
+  def cliqueScore(c: Iterable[Int], sn: Array[Long]): Long = c.iterator.map(sn(_)).sum
+
+  /** GC's pipeline on the driver: list the cliques of the score-ordered
+    * DAG and select. Returns (S, number of stored cliques).
+    */
+  def gc(g: CsrGraph, k: Int, sn: Array[Long]): (DisjointResult, Long) = {
+    val cliques = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byScore(sn)), k)
+    (CliqueScoreGreedy.select(g.n, k, cliques, sn), cliques.length.toLong)
+  }
+
   /** τ of a DAG, the total of its per-node counts. */
   def tau(dag: CsrGraph, k: Int): Long = NodeScores.totalCliques(CliqueSearch.countPerNode(dag, k), k)
 }

@@ -28,9 +28,10 @@ class TheoremsSpec extends AnyFunSuite {
     test(s"Theorem 3: every maximal S is a k-approximation, k=$k seed=$seed") {
       val g = TestGraphs.randomGraph(14 + seed, 0.55, 3000L * k + seed)
       val opt = TestGraphs.bruteMaxDisjoint(g, k)
+      val sn = TestGraphs.nodeScores(g, k)
       for (r <- Seq(BasicFramework.run(g, k),
-                    CliqueScoreGreedy.run(g, k)._1,
-                    Lightweight.run(g, k)._1)) {
+                    TestGraphs.gc(g, k, sn)._1,
+                    Lightweight.run(g, k, sn, PruneMode.Paper)._1)) {
         assert(Validation.isMaximal(g, r))
         assert(r.size.toDouble * k >= opt.toDouble - 1e-9,
           s"approx ratio violated: |S|=${r.size}, OPT=$opt")

@@ -35,7 +35,7 @@ class DynamicPackingSpec extends AnyFunSuite {
   }
 
   private def initFromStatic(g: CsrGraph, k: Int): DynamicPacking = {
-    val (res, _) = Lightweight.run(g, k)
+    val (res, _) = Lightweight.run(g, k, TestGraphs.nodeScores(g, k), PruneMode.Paper)
     val dp = new DynamicPacking(DynamicGraph.fromCsr(g), k)
     dp.initialize(res)
     dp
@@ -200,7 +200,8 @@ class DynamicPackingSpec extends AnyFunSuite {
         val u = rnd.nextInt(n); val v = rnd.nextInt(n)
         if (u != v) { if (rnd.nextBoolean()) dp.insertEdge(u, v) else dp.deleteEdge(u, v) }
       }
-      val (scratch, _) = Lightweight.run(dp.g.toCsr, k)
+      val csr = dp.g.toCsr
+      val (scratch, _) = Lightweight.run(csr, k, TestGraphs.nodeScores(csr, k), PruneMode.Paper)
       assert(dp.size >= scratch.size - 2,
         s"dynamic=${dp.size} scratch=${scratch.size}")
     }

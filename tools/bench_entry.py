@@ -17,7 +17,8 @@ change first. Around each run it reads the 1-minute load average from
 load before and after the run and the share of CPU time stolen by the
 hypervisor during it (steal %) next to that run's record, as
 <workload>-seed<s>-trace<t>.machine.json. Each side writes its records
-under its own .bench_build/ (CARGO_TARGET_DIR is not passed on).
+under its own .bench_build/, where this script reads them: CARGO_TARGET_DIR,
+which perfbench/run.py would use in place of .bench_build/, is not passed on.
 
 append and compare read the perfbench records
 <records>/<workload>-seed<s>-trace0.json of the given seeds, and the traced
