@@ -26,15 +26,13 @@ object BasicFramework {
     var i = 0
     while (i < g.n) {
       val v = order(i)
-      if (valid(v) && search.validOutDegree(v, valid) >= k - 1) {
-        val found = search.findFirst(v, valid)
-        if (found != null) {
-          val canon = found.clone()
-          java.util.Arrays.sort(canon)
-          out += canon
-          var j = 0
-          while (j < k) { valid(found(j)) = false; j += 1 }
-        }
+      val found = search.findFirst(v, valid) // null when v is masked
+      if (found != null) {
+        val canon = found.clone()
+        java.util.Arrays.sort(canon)
+        out += canon
+        var j = 0
+        while (j < k) { valid(found(j)) = false; j += 1 }
       }
       i += 1
     }

@@ -21,16 +21,20 @@ object PruneMode {
 /** kClist-style k-clique search over a DAG orientation (Danisch et al.).
   *
   * Every k-clique of the undirected graph is visited exactly once, rooted
-  * at its highest-η node: candidates at each level are the intersection
-  * of the out-neighbourhoods of all chosen nodes. A `valid` mask (or
-  * `null` for "all valid") restricts the search to still-unassigned
-  * nodes, which is how the greedy algorithms shrink the residual graph
-  * without rebuilding it.
+  * at its highest-η node. A `valid` mask (or `null` for "all valid")
+  * restricts the search to still-unassigned nodes, which is how the
+  * greedy algorithms shrink the residual graph without rebuilding it.
   *
-  * The enumerating entry points share one recursion, `rec`; they differ
-  * only in the level-0 candidates, the prune limit and the leaf action.
-  * Per-node counts (`countPerNode`) come from a second one, `pivot`,
-  * which counts the cliques of each source without visiting them.
+  * Every search runs on bit-parallel rows (San Segundo et al., Computers
+  * & OR 2011) over a set S of nodes in ascending id order, a source's
+  * valid out-list or a caller's pool: row i holds, as ⌈|S|/64⌉ words, the
+  * positions in S of the out-neighbours of S(i), and one builder, `fill`,
+  * sets them. The enumerating entry points share one recursion, `rec`,
+  * whose candidates at each level are the AND of the chosen nodes' rows;
+  * they differ only in the level-0 candidates, the prune limit and the
+  * leaf action. Per-node counts (`countPerNode`) come from `pivot`, which
+  * counts the cliques of each source without visiting them, on the same
+  * rows made undirected.
   *
   * Not thread-safe: buffers are reused across calls. Create one instance
   * per thread / Spark partition.
@@ -38,10 +42,23 @@ object PruneMode {
 final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   require(k >= 2, s"k must be >= 2, got $k")
 
-  private val candBuf = Array.ofDim[Int](k, math.max(dag.maxDegree, 1))
+  /** A search for `forEachExtending` alone, over pools of a graph it is not given. */
+  def this(k: Int) = this(null, k)
+
   private val clique  = new Array[Int](k)
   /** `cheapest`'s scratch. */
   private val lowest  = new Array[Long](k)
+
+  /** S; its rows, `words` longs each, row i at i·words; and the candidate
+    * set of each level of `rec` or depth of `pivot`. Sized for the largest
+    * S so far.
+    */
+  private var members = new Array[Int](0)
+  private var words = 0
+  private var rows: Array[Long] = null
+  private var sets: Array[Long] = null
+  /** Node → its position in S while `fill` runs, -1 otherwise. */
+  private var pos = new Array[Int](0)
 
   /** Node scores for the partial sums, or null when the search is unscored. */
   private var scores: Array[Long] = null
@@ -52,44 +69,104 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   /** Set by a leaf to stop the search. */
   private var stop: Boolean = false
 
-  /** Valid out-degree of `u` (out-neighbours passing the mask). */
-  def validOutDegree(u: Int, valid: Array[Boolean]): Int = {
-    if (valid == null) return dag.degree(u)
+  /** `findMin` calls that searched: from a valid source with ≥ k − 1 valid out-neighbours. */
+  private[core] var searches: Long = 0L
+
+  private def reserve(d: Int): Unit = if (d > members.length) {
+    val w = (d + 63) >>> 6
+    members = new Array[Int](d)
+    rows = new Array[Long](d * w)
+    sets = new Array[Long]((math.max(d, k) + 1) * w)
+  }
+
+  /** The row builder: make `members(0 until d)`, all ids below `bound`,
+    * the set S, and give row i the position of each node of S that is an
+    * out-neighbour of S(i) in the DAG or, for a pool (`neighbours` given),
+    * that comes after S(i) and `neighbours(S(i))` visits.
+    */
+  private def fill(d: Int, bound: Int, neighbours: Int => (Int => Unit) => Unit): Unit = {
+    val w = (d + 63) >>> 6
+    words = w
+    Arrays.fill(rows, 0, d * w, 0L)
+    if (pos.length < bound) pos = Array.fill(math.max(bound, 2 * pos.length))(-1)
+    var i = 0
+    while (i < d) { pos(members(i)) = i; i += 1 }
+    i = 0
+    while (i < d) {
+      val row = i * w
+      if (neighbours == null) { // the hot path: no closure per neighbour
+        var o = dag.offsets(members(i))
+        val end = dag.offsets(members(i) + 1)
+        while (o < end) { val j = pos(dag.adj(o)); if (j >= 0) rows(row + (j >>> 6)) |= 1L << j; o += 1 }
+      } else {
+        val above = i
+        neighbours(members(i)) { x => val j = if (x < pos.length) pos(x) else -1; if (j > above) rows(row + (j >>> 6)) |= 1L << j }
+      }
+      i += 1
+    }
+    i = 0
+    while (i < d) { pos(members(i)) = -1; i += 1 }
+  }
+
+  /** Put `u` at level 0 and make its out-neighbours that pass `valid` the
+    * set S, with its rows when it has at least k − 1 nodes. Returns |S|,
+    * or -1 when `u` itself is masked.
+    */
+  private def load(u: Int, valid: Array[Boolean]): Int = {
+    if (valid != null && !valid(u)) return -1
+    clique(0) = u
+    reserve(dag.degree(u))
     var d = 0
     var o = dag.offsets(u)
-    val end = dag.offsets(u + 1)
-    while (o < end) { if (valid(dag.adj(o))) d += 1; o += 1 }
+    while (o < dag.offsets(u + 1)) {
+      val v = dag.adj(o)
+      if (valid == null || valid(v)) { members(d) = v; d += 1 }
+      o += 1
+    }
+    if (d >= k - 1) fill(d, dag.n, null)
     d
   }
 
-  /** newCand = cand[0,len) ∩ N⁺(v), both sorted ascending by id. */
-  private def intersect(cand: Array[Int], len: Int, v: Int, out: Array[Int]): Int = {
-    var i = 0
-    var o = dag.offsets(v)
-    val end = dag.offsets(v + 1)
-    var w = 0
-    while (i < len && o < end) {
-      val a = cand(i); val b = dag.adj(o)
-      if (a == b) { out(w) = a; w += 1; i += 1; o += 1 }
-      else if (a < b) i += 1
-      else o += 1
-    }
-    w
+  /** Put all d nodes of S in the set at `sets(at)`. */
+  private def selectAll(at: Int, d: Int): Unit = {
+    Arrays.fill(sets, at, at + words, -1L)
+    if ((d & 63) != 0) sets(at + words - 1) = -1L >>> (64 - (d & 63))
   }
 
-  /** Sum of the `r` smallest scores over `cand[0,len)`, len ≥ r: the
-    * least that r distinct nodes of `cand` can add to a partial sum.
+  /** Make the set after the one at `sets(at)` its intersection with row
+    * v; returns its size.
     */
-  private def cheapest(cand: Array[Int], len: Int, r: Int): Long = {
+  private def narrow(at: Int, v: Int): Int = {
+    val w = words
+    var len = 0
+    var j = 0
+    while (j < w) {
+      val y = sets(at + j) & rows(v * w + j)
+      sets(at + w + j) = y
+      len += java.lang.Long.bitCount(y)
+      j += 1
+    }
+    len
+  }
+
+  /** Sum of the `r` smallest scores over the set at `sets(at)`, which has
+    * at least r nodes: the least that r distinct nodes of it can add to a
+    * partial sum.
+    */
+  private def cheapest(at: Int, r: Int): Long = {
     val low = lowest // ascending; low(0 until m) are the m smallest so far
     var m = 0
     var i = 0
-    while (i < len) {
-      val x = scores(cand(i))
-      if (m < r || x < low(r - 1)) {
-        var j = if (m < r) { m += 1; m - 1 } else r - 1
-        while (j > 0 && low(j - 1) > x) { low(j) = low(j - 1); j -= 1 }
-        low(j) = x
+    while (i < words) {
+      var y = sets(at + i)
+      while (y != 0) {
+        val x = scores(members((i << 6) + java.lang.Long.numberOfTrailingZeros(y)))
+        if (m < r || x < low(r - 1)) {
+          var j = if (m < r) { m += 1; m - 1 } else r - 1
+          while (j > 0 && low(j - 1) > x) { low(j) = low(j - 1); j -= 1 }
+          low(j) = x
+        }
+        y &= y - 1
       }
       i += 1
     }
@@ -99,101 +176,90 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     sum
   }
 
-  /** The one recursion: fill `clique(level)` from `cand[0,nCand)` in
-    * ascending order, then the levels below it from the intersections.
-    * `partial` is the score of `clique(0 until level)`. At level k-1 the
-    * leaf gets the clique, with its score in `leafScore`; it sets `stop`
-    * to end the search, and `rec` then returns true.
+  /** The one recursion: fill `clique(level)` from the candidate set at
+    * `sets(level·words)` in ascending order, then the levels below it
+    * from the candidates in its row. `partial` is the score of
+    * `clique(0 until level)`. At level k-1 the leaf gets the clique, with
+    * its score in `leafScore`; it sets `stop` to end the search, and `rec`
+    * then returns true.
     *
     * Under a prune limit, a branch that still needs r ≥ 2 nodes is cut
     * when even its r cheapest candidates would take the sum past the
     * limit; at r = 1 the leaf loop makes that test exactly.
     */
-  private def rec(level: Int, cand: Array[Int], nCand: Int, partial: Long,
-                  leaf: Array[Int] => Unit): Boolean = {
+  private def rec(level: Int, partial: Long, leaf: Array[Int] => Unit): Boolean = {
     val sn = scores
-    val last = level == k - 1
-    val next = if (last) null else candBuf(level)
+    val at = level * words
+    val r = k - 1 - level
     var i = 0
-    while (i < nCand) {
-      val v = cand(i)
-      val s = if (sn == null) partial else partial + sn(v)
-      if (s <= limit) {
-        clique(level) = v
-        if (last) {
-          leafScore = s
-          leaf(clique)
-          if (stop) return true
-        } else {
-          val len = intersect(cand, nCand, v, next)
-          val r = k - 1 - level
-          if (len >= r && !(r >= 2 && limit != Long.MaxValue && s + cheapest(next, len, r) > limit) &&
-              rec(level + 1, next, len, s, leaf)) return true
+    while (i < words) {
+      var x = sets(at + i)
+      while (x != 0) {
+        val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(x)
+        val s = if (sn == null) partial else partial + sn(members(v))
+        if (s <= limit) {
+          clique(level) = members(v)
+          if (r == 0) {
+            leafScore = s
+            leaf(clique)
+            if (stop) return true
+          } else if (narrow(at, v) >= r && !(r >= 2 && limit != Long.MaxValue && s + cheapest(at + words, r) > limit) &&
+                     rec(level + 1, s, leaf)) return true
         }
+        x &= x - 1
       }
       i += 1
     }
     false
   }
 
-  /** Start `rec` at `level` with the given scores (null: unscored) and no
-    * prune limit; a leaf may tighten `limit` as it goes.
+  /** Start `rec` at `level` over all d nodes of S, with the given scores
+    * (null: unscored) and no prune limit; a leaf may tighten `limit` as it
+    * goes.
     */
-  private def run(level: Int, cand: Array[Int], nCand: Int, partial: Long,
-                  sn: Array[Long], leaf: Array[Int] => Unit): Boolean = {
+  private def run(level: Int, d: Int, partial: Long, sn: Array[Long], leaf: Array[Int] => Unit): Boolean = {
+    if (d < k - level) return false
     scores = sn
     limit = Long.MaxValue
     stop = false
-    nCand >= k - level && rec(level, cand, nCand, partial, leaf)
-  }
-
-  /** Put `u` at level 0 and its valid out-neighbours in the level-0
-    * buffer; returns their number, or -1 when `u` itself is masked.
-    */
-  private def root(u: Int, valid: Array[Boolean]): Int = {
-    if (valid != null && !valid(u)) return -1
-    clique(0) = u
-    val out = candBuf(0)
-    var len = 0
-    var o = dag.offsets(u)
-    val end = dag.offsets(u + 1)
-    while (o < end) {
-      val v = dag.adj(o)
-      if (valid == null || valid(v)) { out(len) = v; len += 1 }
-      o += 1
-    }
-    len
+    selectAll(level * words, d)
+    rec(level, partial, leaf)
   }
 
   // ---------------------------------------------------------------------
   // Enumeration
   // ---------------------------------------------------------------------
 
-  /** Visit the k-cliques that extend `prefix` with nodes of
-    * `cand[0,nCand)`. The caller guarantees that `prefix` is a clique,
-    * that `cand` is sorted ascending and that every node of `cand` is
-    * adjacent to all of `prefix`. Extensions come in lexicographic order
-    * of their node ids when out-neighbours are the higher ids. `f` gets
-    * the reused clique array (prefix first) and returns true to stop;
-    * the result says whether it did.
+  /** Visit the k-cliques that extend `prefix` with nodes of `pool`, in
+    * lexicographic order of their node ids. The caller guarantees that
+    * `prefix` is a clique, and that the nodes of `pool` (in any order,
+    * repeats allowed) are not in `prefix` and are adjacent to all of it;
+    * `neighbours(v)(f)` calls f on every neighbour of v. `f` gets the
+    * reused clique array (prefix first) and returns true to stop; the
+    * result says whether it did.
     */
-  def forEachExtending(prefix: Array[Int], cand: Array[Int], nCand: Int)
+  def forEachExtending(prefix: Array[Int], pool: Array[Int], neighbours: Int => (Int => Unit) => Unit)
                       (f: Array[Int] => Boolean): Boolean = {
     val p = prefix.length
     require(p <= k, s"prefix of ${prefix.length} nodes for k=$k")
     System.arraycopy(prefix, 0, clique, 0, p)
-    if (p == k) f(clique)
-    else run(p, cand, nCand, 0L, null, c => stop = f(c))
+    if (p == k) return f(clique)
+    reserve(pool.length)
+    System.arraycopy(pool, 0, members, 0, pool.length)
+    Arrays.sort(members, 0, pool.length)
+    var d = 0
+    for (i <- pool.indices) if (d == 0 || members(d - 1) != members(i)) { members(d) = members(i); d += 1 }
+    if (d < k - p) return false
+    fill(d, members(d - 1) + 1, neighbours)
+    run(p, d, 0L, null, c => stop = f(c))
   }
 
   /** Visit every k-clique whose highest-η node is `u`: the prefix `(u)`
     * extended by u's valid out-neighbours. The callback's array is
     * reused — copy it if you keep it.
     */
-  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Unit): Unit = {
-    val len = root(u, valid)
-    run(1, candBuf(0), len, 0L, null, f)
-  }
+  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Unit): Unit =
+    run(1, load(u, valid), 0L, null, f)
 
   // ---------------------------------------------------------------------
   // Algorithm 1's FindOne: first k-clique containing u among valid nodes.
@@ -203,7 +269,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * or null if no k-clique containing `u` exists among valid nodes.
     */
   def findFirst(u: Int, valid: Array[Boolean]): Array[Int] =
-    if (run(1, candBuf(0), root(u, valid), 0L, null, _ => stop = true)) clique.clone() else null
+    if (run(1, load(u, valid), 0L, null, _ => stop = true)) clique.clone() else null
 
   // ---------------------------------------------------------------------
   // Algorithm 3's FindMin: min-(score, canon) clique containing u.
@@ -249,11 +315,12 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     */
   def findMin(u: Int, valid: Array[Boolean], sn: Array[Long], prune: PruneMode,
               out: Array[Int], at: Int): Long = {
-    val len = root(u, valid)
-    if (len < 0) return CliqueSearch.NoClique
+    val d = load(u, valid)
+    if (d < k - 1) return CliqueSearch.NoClique
+    searches += 1
     this.prune = prune
     found = false
-    run(1, candBuf(0), len, sn(u), sn, minLeaf)
+    run(1, d, sn(u), sn, minLeaf)
     if (!found) return CliqueSearch.NoClique
     System.arraycopy(best, 0, out, at, k)
     bestScore
@@ -264,16 +331,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   // visiting the cliques one by one.
   // ---------------------------------------------------------------------
 
-  /** Words per bitset for the current source: ⌈d/64⌉, d its out-degree. */
-  private var words = 0
-  /** Row i, `words` longs: the positions in S, the current source's
-    * out-list, of the nodes adjacent to S(i). Allocated on the first
-    * count, with the rest of the pivoting scratch.
+  /** The current source's counts so far, by position in S. Allocated on
+    * the first count, with `binom`.
     */
-  private var nbr: Array[Long] = null
-  /** The candidate set P of each recursion depth, `words` longs each. */
-  private var sets: Array[Long] = null
-  /** The current source's counts so far, by position in S. */
   private var gained: Array[Long] = null
   /** C(a, b) at a·(k+1) + b, for a up to the largest out-degree, b ≤ k. */
   private var binom: Array[Long] = null
@@ -285,10 +345,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   private var pivotSum = 0L
 
   private def allocatePivoting(): Unit = {
-    val d = math.max(dag.maxDegree, 1)
-    val w = (d + 63) >>> 6
-    nbr = new Array[Long](d * w)
-    sets = new Array[Long]((d + 1) * w)
+    val d = dag.maxDegree
     gained = new Array[Long](d)
     binom = new Array[Long]((d + 1) * (k + 1))
     for (a <- 0 to d) {
@@ -299,9 +356,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
 
   /** Add to `counts` every node's number of k-cliques rooted at `u`
     * (exact modulo 2^64, like any sum of Longs). For k ≥ 3 they are u plus
-    * the (k−1)-cliques of its out-list S: build S's undirected adjacency
-    * as bitsets, by merging each out-list of S with S, then count by
-    * pivoting from u held and P = S.
+    * the (k−1)-cliques of its out-list S: load S's rows, add each row's
+    * transpose to make them undirected, then count by pivoting from u held
+    * and P = S.
     */
   private def countFrom(u: Int, counts: Array[Long]): Unit = {
     val d = dag.degree(u)
@@ -313,38 +370,27 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
       return
     }
     if (d < k - 1) return
-    if (nbr == null) allocatePivoting()
-    val w = (d + 63) >>> 6
-    words = w
-    Arrays.fill(nbr, 0, d * w, 0L)
-    var i = 0
-    while (i < d) {
-      var o = dag.offsets(adj(base + i))
-      val end = dag.offsets(adj(base + i) + 1)
-      if (o < end) {
-        // skip the nodes of S below the out-list's first node
-        val at = Arrays.binarySearch(adj, base, base + d, adj(o))
-        var j = (if (at >= 0) at else -at - 1) - base
-        while (j < d && o < end) { // without branches: ids are ≥ 0, so a − b cannot overflow
-          val a = adj(base + j); val b = adj(o)
-          val hit = ((((a - b) | (b - a)) >>> 31) ^ 1).toLong // 1 when a == b
-          nbr(i * w + (j >>> 6)) |= hit << j
-          nbr(j * w + (i >>> 6)) |= hit << i
-          j += 1 - ((b - a) >>> 31)
-          o += 1 - ((a - b) >>> 31)
-        }
+    if (binom == null) allocatePivoting()
+    load(u, null)
+    val w = words
+    var at = 0
+    while (at < d * w) { // word at % w of row i = at / w: add its bits' transposes
+      val i = at / w
+      var x = rows(at)
+      while (x != 0) {
+        rows((((at - i * w) << 6) + java.lang.Long.numberOfTrailingZeros(x)) * w + (i >>> 6)) |= 1L << i
+        x &= x - 1
       }
-      i += 1
+      at += 1
     }
-    Arrays.fill(sets, 0, w, -1L)
-    if ((d & 63) != 0) sets(w - 1) = -1L >>> (64 - (d & 63))
+    selectAll(0, d)
     Arrays.fill(gained, 0, d, 0L)
     heldSum = 0L
     pivotSum = 0L
     pivot(0, d, 1, 0)
     counts(u) += heldSum
-    i = 0
-    while (i < d) { counts(adj(base + i)) += gained(i); i += 1 }
+    var i = 0
+    while (i < d) { counts(members(i)) += gained(i); i += 1 }
   }
 
   /** The number of v's neighbours in the set at `sets(at)`. */
@@ -352,7 +398,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     val w = words
     var c = 0
     var j = 0
-    while (j < w) { c += java.lang.Long.bitCount(nbr(v * w + j) & sets(at + j)); j += 1 }
+    while (j < w) { c += java.lang.Long.bitCount(rows(v * w + j) & sets(at + j)); j += 1 }
     c
   }
 
@@ -410,20 +456,12 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
         }
         i += 1
       }
-      val next = at + w
       i = 0
       while (i < w) {
-        var x = sets(at + i) & ~nbr(p * w + i)
+        var x = sets(at + i) & ~rows(p * w + i)
         while (x != 0) {
           val v = (i << 6) + java.lang.Long.numberOfTrailingZeros(x)
-          var len = 0
-          var j = 0
-          while (j < w) {
-            val y = nbr(v * w + j) & sets(at + j)
-            sets(next + j) = y
-            len += java.lang.Long.bitCount(y)
-            j += 1
-          }
+          val len = narrow(at, v)
           if (h + q + 1 + len >= k) {
             if (v == p) {
               val before = pivotSum

@@ -123,12 +123,21 @@ object CsrGraph {
   /** Orient an undirected graph into a DAG by a rank array (the total
     * ordering η of the paper): edge u→v is kept iff rank(v) < rank(u),
     * i.e. out-neighbours of u are exactly the nodes with smaller η.
-    * Out-adjacency stays sorted by node id.
+    * Out-adjacency stays sorted by node id. A rank that is not a
+    * permutation of `0 until n` (a tie would drop its edge) is rejected.
     */
   def orient(g: CsrGraph, rank: Array[Int]): CsrGraph = {
     require(rank.length == g.n, "rank must cover every node")
-    val offsets = new Array[Int](g.n + 1)
+    val taken = new Array[Boolean](g.n)
     var u = 0
+    while (u < g.n) {
+      val r = rank(u)
+      require(r >= 0 && r < g.n && !taken(r), s"rank is not a permutation of 0 until ${g.n}: node $u has rank $r")
+      taken(r) = true
+      u += 1
+    }
+    val offsets = new Array[Int](g.n + 1)
+    u = 0
     while (u < g.n) {
       var d = 0
       g.foreachNeighbor(u) { v => if (rank(v) < rank(u)) d += 1 }

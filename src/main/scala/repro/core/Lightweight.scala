@@ -43,7 +43,7 @@ object Lightweight {
 
     // HeapInit, then one O(n) heapify over the sources that root a clique.
     val (score, nodes) = heapInit(dag, k, sn, prune, Runtime.getRuntime.availableProcessors)
-    var findMinCalls = 0L
+    var findMinCalls = 0L // HeapInit's; the loop's are `search.searches`
     val heap = new SlotHeap(score, nodes, k)
     var u = 0
     while (u < g.n) {
@@ -74,15 +74,14 @@ object Lightweight {
         stale += 1
         // src = highest-η node of the stale clique (FindMin roots every
         // clique at its source); recompute its local minimum on the
-        // residual graph in place if src itself is still free.
-        val s =
-          if (!valid(src) || search.validOutDegree(src, valid) < k - 1) CliqueSearch.NoClique
-          else { findMinCalls += 1; search.findMin(src, valid, sn, prune, nodes, at) }
+        // residual graph in place (a FindMin call when src is still free
+        // with k − 1 valid out-neighbours, counted by `search.searches`).
+        val s = search.findMin(src, valid, sn, prune, nodes, at)
         if (s == CliqueSearch.NoClique) heap.pop()
         else { score(src) = s; pushes += 1; heap.replaceTop() }
       }
     }
-    (DisjointResult(k, out.result()), Stats(findMinCalls, pushes, stale))
+    (DisjointResult(k, out.result()), Stats(findMinCalls + search.searches, pushes, stale))
   }
 
   /** LP on node scores counted on the driver. perfbench's LP ≤ OPT ≤ k·LP
@@ -101,11 +100,7 @@ object Lightweight {
     val score = new Array[Long](dag.n)
     val nodes = new Array[Int](dag.n * k)
     SourcePass.onDriver(dag, k, workers) { (search, sources) =>
-      sources.foreach { u =>
-        score(u) =
-          if (dag.degree(u) < k - 1) CliqueSearch.NoClique
-          else search.findMin(u, null, sn, prune, nodes, u * k)
-      }
+      sources.foreach(u => score(u) = search.findMin(u, null, sn, prune, nodes, u * k))
     }
     (score, nodes)
   }

@@ -1,7 +1,6 @@
 package repro.dynamic
 
-import java.util.Arrays
-import repro.core.{CliqueSearch, CsrGraph, DisjointResult}
+import repro.core.{CliqueSearch, DisjointResult}
 import scala.collection.mutable
 
 /** Section V: dynamic maintenance of a near-optimal disjoint k-clique set.
@@ -16,10 +15,11 @@ import scala.collection.mutable
   * Operations: `insertEdge` (Algorithm 6), `deleteEdge` (Algorithm 7),
   * both funnelling improvement attempts through `trySwap` (Algorithm 4).
   *
-  * Every clique search here runs `CliqueSearch` on the subgraph induced
-  * by a small sorted pool of nodes (`poolSearch`): C ∪ N_F(C) for a
-  * host's candidates, and a prefix plus the free nodes adjacent to all of
-  * it for a free clique through an inserted edge or a freed node.
+  * Every clique search here is `CliqueSearch.forEachExtending` on one
+  * search per packing, over a sorted pool of nodes whose bitset rows it
+  * fills from `g`: C ∪ N_F(C) for a host's candidates, and the free nodes
+  * adjacent to all of a prefix for a free clique through an inserted edge
+  * or a freed node.
   *
   * An entry that dies is found through the hosts that can hold it: a
   * candidate's owned nodes lie in its host, and each of its free nodes is
@@ -100,22 +100,22 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     val b = mutable.ArrayBuilder.make[Int]
     b ++= c
     for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) b += v }
-    val pool = sortedDistinct(b.result())
+    val pool = b.result()
     val out = mutable.HashSet.empty[Cand]
-    if (pool.length == k) return out // B = C
-    val search = poolSearch(pool)
-    for (r <- pool.indices) search.forEachFrom(r, null) { q =>
-      // out-neighbours are the higher ids, so q (and its nodes) ascend
+    if (pool.length == k) return out // B = C, as N_F(C) is empty
+    search.forEachExtending(Array.emptyIntArray, pool, g.foreachNeighbor) { q =>
+      // the cliques come in lexicographic order, so q ascends
       var inHost = 0
       var j = 0
-      while (j < k) { if (cliqueOf(pool(q(j))) == cid) inHost += 1; j += 1 }
+      while (j < k) { if (cliqueOf(q(j)) == cid) inHost += 1; j += 1 }
       // ≥1 free node is implied by inHost < k; C itself is inHost == k
       if (inHost >= 1 && inHost < k) {
-        out += Vector.tabulate(k)(j => pool(q(j)))
+        out += Vector.tabulate(k)(q(_))
         if (out.size >= maxCandidatesPerHost)
           throw new IllegalStateException(
             s"host clique ${c.mkString(",")} reached $maxCandidatesPerHost candidates")
       }
+      false
     }
     out
   }
@@ -289,43 +289,15 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // Clique search over a local pool of nodes
   // ------------------------------------------------------------------
 
-  /** node → its index in the pool being built, -1 otherwise. */
-  private val poolIdx = Array.fill(g.n)(-1)
-  /** Scratch adjacency of the pool being built; grows on demand. */
-  private var poolAdj = new Array[Int](256)
-
-  /** A clique search over the subgraph induced by `pool` (sorted
-    * ascending, distinct), oriented so that out-neighbours are the
-    * higher ids. Its cliques hold pool indices; `pool(i)` is the node.
-    */
-  private def poolSearch(pool: Array[Int]): CliqueSearch = {
-    val p = pool.length
-    for (i <- 0 until p) poolIdx(pool(i)) = i
-    val offsets = new Array[Int](p + 1)
-    var len = 0
-    for (i <- 0 until p) {
-      g.foreachNeighbor(pool(i)) { w =>
-        val j = poolIdx(w)
-        if (j > i) {
-          if (len == poolAdj.length) poolAdj = Arrays.copyOf(poolAdj, 2 * len)
-          poolAdj(len) = j
-          len += 1
-        }
-      }
-      Arrays.sort(poolAdj, offsets(i), len)
-      offsets(i + 1) = len
-    }
-    for (x <- pool) poolIdx(x) = -1
-    new CliqueSearch(new CsrGraph(p, offsets, Arrays.copyOf(poolAdj, len)), k)
-  }
+  /** The one clique search of this packing, reused for every pool. */
+  private val search = new CliqueSearch(k)
 
   /** The lexicographically first all-free k-clique containing the free
     * clique `prefix` (prefix first, then ascending ids), if any. Its pool
-    * is `prefix` and the free nodes adjacent to all of it.
+    * is the free nodes adjacent to all of `prefix`.
     */
   private def firstFreeClique(prefix: Array[Int]): Option[Seq[Int]] = {
     val b = mutable.ArrayBuilder.make[Int]
-    b ++= prefix
     g.foreachNeighbor(prefix(0)) { w =>
       if (cliqueOf(w) == -1) {
         var i = 1 // hasEdge is false for w itself, so prefix nodes drop out
@@ -333,22 +305,10 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
         if (i == prefix.length) b += w
       }
     }
-    val pool = sortedDistinct(b.result())
-    if (pool.length < k) return None
-    val search = poolSearch(pool)
-    val pre = prefix.map(Arrays.binarySearch(pool, _))
-    val cand = pool.indices.filterNot(pre.contains).toArray
+    val pool = b.result()
     var found: Seq[Int] = null
-    search.forEachExtending(pre, cand, cand.length) { q => found = q.map(pool(_)).toSeq; true }
+    search.forEachExtending(prefix, pool, g.foreachNeighbor) { q => found = q.toVector; true }
     Option(found)
-  }
-
-  /** `nodes` sorted ascending without duplicates. */
-  private def sortedDistinct(nodes: Array[Int]): Array[Int] = {
-    Arrays.sort(nodes)
-    var w = 0
-    for (x <- nodes) if (w == 0 || nodes(w - 1) != x) { nodes(w) = x; w += 1 }
-    Arrays.copyOf(nodes, w)
   }
 }
 

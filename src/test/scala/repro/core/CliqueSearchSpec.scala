@@ -59,6 +59,19 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
+  /** Under each of five masks (all valid, then four that keep each node
+    * with probability 0.8), findFirst from every source is the first
+    * clique forEachFrom visits from it.
+    */
+  private def checkFindFirst(dag: CsrGraph, k: Int, rnd: Random): Unit = {
+    val search = new CliqueSearch(dag, k)
+    for (valid <- null +: Seq.fill(4)(Array.fill(dag.n)(rnd.nextDouble() < 0.8)); u <- 0 until dag.n) {
+      var first: Seq[Int] = null
+      search.forEachFrom(u, valid)(c => if (first == null) first = c.toSeq)
+      assert(Option(search.findFirst(u, valid)).map(_.toSeq) == Option(first), s"k=$k u=$u")
+    }
+  }
+
   for (k <- 3 to 6; seed <- 0 until 6) {
     test(s"random graph enumeration matches brute force k=$k seed=$seed") {
       val n = 10 + seed * 2
@@ -72,20 +85,13 @@ class CliqueSearchSpec extends AnyFunSuite {
     test(s"findFirst is the first clique forEachFrom visits, random masks k=$k seed=$seed") {
       val n = 10 + seed * 2
       val g = TestGraphs.randomGraph(n, 0.45, 7L * seed + k)
-      val search = new CliqueSearch(CsrGraph.orient(g, Orderings.byDegree(g)), k)
-      val rnd = new Random(11L * seed + k)
-      for (valid <- null +: Seq.fill(4)(Array.fill(n)(rnd.nextDouble() < 0.8)); u <- 0 until n) {
-        var first: Seq[Int] = null
-        search.forEachFrom(u, valid)(c => if (first == null) first = c.toSeq)
-        assert(Option(search.findFirst(u, valid)).map(_.toSeq) == Option(first), s"u=$u")
-      }
+      checkFindFirst(CsrGraph.orient(g, Orderings.byDegree(g)), k, new Random(11L * seed + k))
     }
 
     test(s"forEachExtending visits the brute-force extensions in lex order and stops k=$k seed=$seed") {
       val n = 10 + seed * 2
       val g = TestGraphs.randomGraph(n, 0.45, 7L * seed + k)
-      // out-neighbours are the higher ids, as on DynamicPacking's pools
-      val search = new CliqueSearch(CsrGraph.orient(g, Array.tabulate(n)(u => n - 1 - u)), k)
+      val search = new CliqueSearch(k)
       val all = TestGraphs.bruteCliques(g, k)
       val rnd = new Random(13L * seed + k)
       for (p <- 1 to k; prefix <- TestGraphs.bruteCliques(g, p)) {
@@ -93,7 +99,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         val cand = (0 until n).filter(v => !prefix(v) && prefix.forall(g.hasEdge(_, v))).toArray
         val expected = all.filter(prefix.subsetOf).toSeq.map(c => (c -- prefix).toSeq.sorted).sorted
         val seen = ArrayBuffer.empty[Seq[Int]]
-        val stopped = search.forEachExtending(pre, cand, cand.length) { c =>
+        val stopped = search.forEachExtending(pre, cand, g.foreachNeighbor) { c =>
           assert(c.take(p).toSeq == pre.toSeq)
           seen += c.drop(p).toSeq
           false
@@ -102,7 +108,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         if (expected.nonEmpty) {
           val stopAt = 1 + rnd.nextInt(expected.size)
           var visits = 0
-          assert(search.forEachExtending(pre, cand, cand.length) { _ => visits += 1; visits == stopAt })
+          assert(search.forEachExtending(pre, cand, g.foreachNeighbor) { _ => visits += 1; visits == stopAt })
           assert(visits == stopAt, s"prefix=${pre.mkString(",")}")
         }
       }
@@ -172,6 +178,29 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
+  /** `hubOver(100)` and `hubOver(150)` under the two orders that give the
+    * hub out-degree 100 or 150: two- and three-word out-lists.
+    */
+  private def hubDags(): Seq[(CsrGraph, CsrGraph)] =
+    for ((n, seed) <- Seq((100, 71L), (150, 72L));
+         g = hubOver(n, seed);
+         rank <- Seq(Orderings.byDegree(g), Array.tabulate(g.n)(u => g.n - 1 - u))) yield {
+      val dag = CsrGraph.orient(g, rank)
+      assert(dag.degree(0) == n)
+      (g, dag)
+    }
+
+  for (k <- 3 to 6) {
+    test(s"enumeration matches brute force on sources of out-degree over 64 and over 128, k=$k") {
+      for ((g, dag) <- hubDags())
+        assert(TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSet).toSet == TestGraphs.bruteCliques(g, k))
+    }
+
+    test(s"findFirst is the first clique forEachFrom visits on sources of out-degree over 64 and over 128, k=$k") {
+      for (((_, dag), i) <- hubDags().zipWithIndex) checkFindFirst(dag, k, new Random(17L * i + k))
+    }
+  }
+
   test("pivot counts with isolated nodes and sources of out-degree below k-1") {
     // K5 on 0..4, a path 5-6-7, a star centred on 8, and isolated 12..14
     val edges = (for (u <- 0 until 5; v <- u + 1 until 5) yield (u, v)) ++
@@ -222,61 +251,93 @@ class CliqueSearchSpec extends AnyFunSuite {
     * the mask and the valid cliques grouped by root (the highest-η node).
     * At k ≥ 4 a scored search reaches the cheapest-completion bound.
     */
-  private def findMinCases(seed0: Long)
-      (check: (Int, CliqueSearch, Array[Long], Array[Boolean], Map[Int, Array[Array[Int]]]) => Unit): Unit =
+  private type FindMinCheck = (Int, CliqueSearch, Array[Long], Array[Boolean], Map[Int, Array[Array[Int]]]) => Unit
+
+  private def findMinCases(seed0: Long)(check: FindMinCheck): Unit =
     for (k <- 3 to 6; seed <- 0 until 5) {
       val n = 16
       val g = TestGraphs.randomGraph(n, 0.45 + 0.08 * (k - 3), seed0 + 10L * k + seed)
-      val sn = CliqueSearch.countPerNode(CsrGraph.orient(g, Orderings.byId(n)), k)
-      val rank = Orderings.byScore(sn)
-      val dag = CsrGraph.orient(g, rank)
-      val search = new CliqueSearch(dag, k)
-      val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
-      val rnd = new Random(seed0 + 7L * k + seed)
-      for (valid <- null +: Seq.fill(3)(Array.fill(n)(rnd.nextDouble() < 0.85))) {
-        val live = if (valid == null) all else all.filter(_.forall(valid(_)))
-        check(k, search, sn, valid, live.groupBy(c => c.maxBy(rank(_))))
-      }
+      findMinOn(g, k, TestGraphs.nodeScores(g, k), new Random(seed0 + 7L * k + seed))(check)
     }
 
-  for (prune <- Seq(PruneMode.NoPrune, PruneMode.Strict)) {
-    test(s"findMin finds the true minimum-(score,canon) clique per source [$prune]") {
-      findMinCases(400L) { (k, search, sn, valid, byRoot) =>
-        for (u <- 0 until sn.length) {
-          val slot = Array.fill(k + 2)(-7) // written only at [1, k+1)
-          val score = search.findMin(u, valid, sn, prune, slot, 1)
-          byRoot.get(u) match {
-            case None =>
-              assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"k=$k u=$u")
-            case Some(cs) =>
-              val want = cs.map(c => (TestGraphs.cliqueScore(c, sn), c.sorted))
-                .reduceLeft { (a, b) =>
-                  if (b._1 < a._1 || (b._1 == a._1 && CliqueSearch.compareCanon(b._2, a._2) < 0)) b else a
-                }
-              assert(score == want._1 && slot.slice(1, k + 1).toSeq == want._2.toSeq, s"k=$k u=$u")
-              assert(slot(0) == -7 && slot(k + 1) == -7, s"k=$k u=$u wrote outside its slot")
-          }
-        }
+  /** One graph of `findMinCases`: the DAG by the scores `sn`, then `check`
+    * under four masks (all valid, then random).
+    */
+  private def findMinOn(g: CsrGraph, k: Int, sn: Array[Long], rnd: Random)(check: FindMinCheck): Unit = {
+    val rank = Orderings.byScore(sn)
+    val dag = CsrGraph.orient(g, rank)
+    val search = new CliqueSearch(dag, k)
+    val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
+    for (valid <- null +: Seq.fill(3)(Array.fill(g.n)(rnd.nextDouble() < 0.85))) {
+      val live = if (valid == null) all else all.filter(_.forall(valid(_)))
+      check(k, search, sn, valid, live.groupBy(c => c.maxBy(rank(_))))
+    }
+  }
+
+  /** `findMinOn` on `hubOver(100)` and `hubOver(150)` with their brute-force
+    * node scores, under which the hub ranks highest: its out-lists take
+    * two and three words.
+    */
+  private def findMinHubCases(seed0: Long)(check: FindMinCheck): Unit =
+    for (k <- 3 to 6; (n, seed) <- Seq((100, 71L), (150, 72L))) {
+      val g = hubOver(n, seed)
+      val sn = TestGraphs.bruteNodeScores(g, k)
+      assert(CsrGraph.orient(g, Orderings.byScore(sn)).degree(0) == n)
+      findMinOn(g, k, sn, new Random(seed0 + 7L * k + n))(check)
+    }
+
+  /** findMin of every source against the minimum (score, canon) clique. */
+  private def exactFindMin(prune: PruneMode): FindMinCheck = { (k, search, sn, valid, byRoot) =>
+    for (u <- 0 until sn.length) {
+      val slot = Array.fill(k + 2)(-7) // written only at [1, k+1)
+      val score = search.findMin(u, valid, sn, prune, slot, 1)
+      byRoot.get(u) match {
+        case None =>
+          assert(score == CliqueSearch.NoClique && slot.forall(_ == -7), s"k=$k u=$u")
+        case Some(cs) =>
+          val want = cs.map(c => (TestGraphs.cliqueScore(c, sn), c.sorted))
+            .reduceLeft { (a, b) =>
+              if (b._1 < a._1 || (b._1 == a._1 && CliqueSearch.compareCanon(b._2, a._2) < 0)) b else a
+            }
+          assert(score == want._1 && slot.slice(1, k + 1).toSeq == want._2.toSeq, s"k=$k u=$u")
+          assert(slot(0) == -7 && slot(k + 1) == -7, s"k=$k u=$u wrote outside its slot")
       }
     }
   }
 
-  test("findMin Paper prune mode still returns a minimum-score clique") {
-    findMinCases(500L) { (k, search, sn, valid, byRoot) =>
-      val slots = new Array[Int](sn.length * k)
-      for (u <- 0 until sn.length) {
-        val score = search.findMin(u, valid, sn, PruneMode.Paper, slots, u * k)
-        byRoot.get(u) match {
-          case None => assert(score == CliqueSearch.NoClique, s"k=$k u=$u")
-          case Some(cs) =>
-            val minScore = cs.map(TestGraphs.cliqueScore(_, sn)).min
-            assert(score == minScore, s"k=$k u=$u")
-            val c = slots.slice(u * k, u * k + k)
-            assert(cs.exists(_.sorted.sameElements(c)), s"k=$k u=$u: slot holds no valid clique rooted at u")
-            assert(TestGraphs.cliqueScore(c, sn) == minScore, s"k=$k u=$u")
-        }
+  /** findMin (`Paper`) of every source against the minimum score. */
+  private val paperFindMin: FindMinCheck = { (k, search, sn, valid, byRoot) =>
+    val slots = new Array[Int](sn.length * k)
+    for (u <- 0 until sn.length) {
+      val score = search.findMin(u, valid, sn, PruneMode.Paper, slots, u * k)
+      byRoot.get(u) match {
+        case None => assert(score == CliqueSearch.NoClique, s"k=$k u=$u")
+        case Some(cs) =>
+          val minScore = cs.map(TestGraphs.cliqueScore(_, sn)).min
+          assert(score == minScore, s"k=$k u=$u")
+          val c = slots.slice(u * k, u * k + k)
+          assert(cs.exists(_.sorted.sameElements(c)), s"k=$k u=$u: slot holds no valid clique rooted at u")
+          assert(TestGraphs.cliqueScore(c, sn) == minScore, s"k=$k u=$u")
       }
     }
+  }
+
+  for (prune <- Seq(PruneMode.NoPrune, PruneMode.Strict)) {
+    test(s"findMin finds the true minimum-(score,canon) clique per source [$prune]") {
+      findMinCases(400L)(exactFindMin(prune))
+    }
+
+    test(s"findMin finds the true minimum-(score,canon) clique on sources of out-degree over 64 and over 128 [$prune]") {
+      findMinHubCases(600L)(exactFindMin(prune))
+    }
+  }
+
+  test("findMin Paper prune mode still returns a minimum-score clique") {
+    findMinCases(500L)(paperFindMin)
+  }
+
+  test("findMin Paper prune mode returns a minimum-score clique on sources of out-degree over 64 and over 128") {
+    findMinHubCases(700L)(paperFindMin)
   }
 
   test("listAll is flat and canonical, with length τ") {

@@ -69,6 +69,17 @@ class CsrGraphSpec extends AnyFunSuite {
     for (u <- 0 until g.n) dag.foreachNeighbor(u)(v => assert(rank(v) < rank(u)))
   }
 
+  test("orient rejects a rank that is not a permutation: tied or out of range") {
+    val g = TestGraphs.fig2
+    val id = Orderings.byId(g.n)
+    for ((rank, u) <- Seq((id.updated(4, 3), 4), (id.updated(0, g.n), 0), (id.updated(8, -1), 8))) {
+      val e = intercept[IllegalArgumentException](CsrGraph.orient(g, rank))
+      assert(e.getMessage.contains("not a permutation") && e.getMessage.contains(s"node $u has rank ${rank(u)}"), e.getMessage)
+      // HG takes any caller's rank, and fails at the same boundary
+      intercept[IllegalArgumentException](BasicFramework.run(g, 3, rank))
+    }
+  }
+
   test("hasEdge out-of-range is false") {
     val g = TestGraphs.complete(3)
     assert(!g.hasEdge(-1, 0) && !g.hasEdge(0, 3) && !g.hasEdge(5, 7))

@@ -37,7 +37,7 @@ object ReferenceLightweight {
         e.nodes.foreach(valid(_) = false)
       } else {
         stale += 1
-        if (valid(e.source) && search.validOutDegree(e.source, valid) >= k - 1) push(e.source, valid)
+        if (valid(e.source) && dag.neighborsOf(e.source).count(valid(_)) >= k - 1) push(e.source, valid)
       }
     }
     (DisjointResult(k, out.result()), Lightweight.Stats(findMinCalls, pushes, stale))

@@ -7,8 +7,26 @@ import scala.util.Random
 
 class DynamicPackingSpec extends AnyFunSuite {
 
-  /** Index parity: incremental candidate index == from-scratch Alg. 5,
-    * with no empty sets.
+  /** Algorithm 5 by brute force: the k-subsets of B = C ∪ N_F(C) that are
+    * cliques of the live graph, other than C, with at least one node of
+    * C and at least one free node.
+    */
+  private def bruteCandidates(dp: DynamicPacking, cid: Int): Set[Vector[Int]] = {
+    val c = dp.cliques(cid)
+    val b = mutable.SortedSet.empty[Int] ++ c
+    for (u <- c) dp.g.foreachNeighbor(u) { v => if (dp.cliqueOf(v) == -1) b += v }
+    val pool = b.toVector
+    def grow(chosen: List[Int], from: Int, left: Int): Iterator[List[Int]] =
+      if (left == 0) Iterator.single(chosen)
+      else (from until pool.length).iterator
+        .filter(i => chosen.forall(dp.g.hasEdge(_, pool(i))))
+        .flatMap(i => grow(pool(i) :: chosen, i + 1, left - 1))
+    grow(Nil, 0, dp.k).map(_.reverse.toVector)
+      .filter(q => q.exists(dp.cliqueOf(_) == cid) && q.exists(dp.cliqueOf(_) == -1)).toSet
+  }
+
+  /** Index parity: incremental candidate index == from-scratch Alg. 5
+    * (`candidatesFor`) == brute force, with no empty sets.
     */
   private def assertIndexParity(dp: DynamicPacking, ctx: String): Unit = {
     for (cid <- dp.cliques.keys) {
@@ -16,6 +34,7 @@ class DynamicPackingSpec extends AnyFunSuite {
       val incr = dp.candidates.getOrElse(cid, mutable.HashSet.empty[Vector[Int]])
       assert(incr == scratch,
         s"$ctx: index parity broken for clique $cid:\n incr=$incr\n scratch=$scratch")
+      assert(scratch.toSet == bruteCandidates(dp, cid), s"$ctx: candidatesFor($cid) differs from brute force")
     }
     // no stale entries for removed cliques
     for (cid <- dp.candidates.keys) assert(dp.cliques.contains(cid), s"$ctx: stale host $cid")
@@ -183,6 +202,51 @@ class DynamicPackingSpec extends AnyFunSuite {
         }
       }
       // the same stream on a fresh packing gives the same S, clique for clique
+      val replay = initFromStatic(g, k)
+      stream.foreach(apply(replay, _))
+      assert(replay.result.cliques.map(_.toSeq) == dp.result.cliques.map(_.toSeq))
+      assert(replay.swapCount == dp.swapCount)
+    }
+  }
+
+  /** k − 2 hubs, pairwise adjacent and joined to every one of `m` other
+    * nodes, which form a random bipartite graph (even ids against odd,
+    * edge probability 0.1). Every k-clique is the hubs plus an edge, so
+    * LP keeps one clique, and its host pool holds all m + k − 2 nodes.
+    */
+  private def hubbedBipartite(k: Int, m: Int, seed: Long): CsrGraph = {
+    val h = k - 2
+    val rnd = new Random(seed)
+    val hubs = for (a <- 0 until h; b <- a + 1 until h) yield (a, b)
+    val spokes = for (a <- 0 until h; x <- h until h + m) yield (a, x)
+    val rest = for (x <- h until h + m; y <- x + 1 until h + m if (x + y) % 2 == 1 && rnd.nextDouble() < 0.1) yield (x, y)
+    TestGraphs.fromEdges(h + m, hubs ++ spokes ++ rest)
+  }
+
+  for (k <- 3 to 4; m <- Seq(100, 150)) {
+    test(s"update soak on host pools over ${if (m == 100) 64 else 128} nodes: validity + index parity + replay, k=$k") {
+      val g = hubbedBipartite(k, m, 31L * k + m)
+      val dp = initFromStatic(g, k)
+      val pools = dp.cliques.values.map(c => (c.toSet ++ c.flatMap(u => g.neighborsOf(u).filter(dp.cliqueOf(_) == -1))).size)
+      assert(dp.size == 1 && pools.head == m + k - 2)
+      assertValid(dp, "init")
+      assertIndexParity(dp, "init")
+      val rnd = new Random(77L * k + m)
+      val stream = mutable.ArrayBuffer.empty[(Boolean, Int, Int)]
+      def apply(p: DynamicPacking, op: (Boolean, Int, Int)): Unit =
+        if (op._1) p.insertEdge(op._2, op._3) else p.deleteEdge(op._2, op._3)
+      for (step <- 0 until 40) {
+        // an edge of the graph (to delete) or a random pair (to insert)
+        val del = rnd.nextBoolean()
+        val u = rnd.nextInt(g.n)
+        val v = if (del && g.degree(u) > 0) g.neighborsOf(u)(rnd.nextInt(g.degree(u))) else rnd.nextInt(g.n)
+        if (u != v) {
+          stream += ((!del, u, v))
+          apply(dp, stream.last)
+          assertValid(dp, s"step $step")
+          assertIndexParity(dp, s"step $step")
+        }
+      }
       val replay = initFromStatic(g, k)
       stream.foreach(apply(replay, _))
       assert(replay.result.cliques.map(_.toSeq) == dp.result.cliques.map(_.toSeq))

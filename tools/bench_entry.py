@@ -48,9 +48,13 @@ compare reads two record directories of the same seeds, the parent's and
 the change's (one run per seed and side, so each seed is a pair). For each
 end-to-end metric it prints each side's median and quartiles, the change of
 the median in %, the pairs the change wins (ties count for neither side),
-whether the change's median is worse than the parent's by more than the
-metric's BENCHMARK.json bound ("OUT") or not ("ok"), and whether the
-difference of the medians exceeds the parent's quartile spread. It also
+a verdict against the metric's BENCHMARK.json bound, and whether the
+difference of the medians exceeds the parent's quartile spread. The
+verdict is "OUT" when the change's median is worse than the parent's by
+more than the bound; "unresolved" when it is not, but the parent's
+quartile spread, relative to the parent's median, is wider than the bound
+and the change does not win every pair, so the runs cannot tell a
+regression within the bound from noise; and "ok" otherwise. It also
 prints the failed operations per side, each side's machine medians when
 pairs recorded them, the seeds and cells whose S digests differ, and,
 when both sides have traced records, each per-layer median that is
@@ -204,7 +208,7 @@ def compare(a, spec):
             print(f"machine ({side}, {m['runs']} runs): median load {m['load_before']:.2f} before, "
                   f"{m['load_after']:.2f} after; median steal {m['steal_pct']:.2f}%")
     print(f"{'metric':<11} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
-          f"{'change':>8} {'wins':>6} bound  beyond parent spread")
+          f"{'change':>8} {'wins':>6} {'bound':<10} beyond parent spread")
     for m in spec["end_to_end"]:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
         p, c = ([r["metrics"][name] for r in side] for side in (old, new))
@@ -212,13 +216,15 @@ def compare(a, spec):
         pct = 100.0 * (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
         wins = sum(1 for x, y in zip(p, c) if sign * (x - y) > 0)
         inside = sign * pct <= 100.0 * m["bound"]
-        beyond = abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]
+        spread = ps["q3"] - ps["q1"]
+        unresolved = spread > m["bound"] * abs(ps["median"]) and wins < len(p)
+        beyond = abs(cs["median"] - ps["median"]) > spread
 
         def fmt(q):
             return "{} [{}, {}]".format(*(f"{q[k]:.0f}" if abs(q[k]) >= 1e4 else f"{q[k]:.4g}"
                                           for k in ("median", "q1", "q3")))
         print(f"{name:<11} {fmt(ps):>28} {fmt(cs):>28} {pct:>+7.1f}% {wins:>3}/{len(p):<2} "
-              f"{'ok' if inside else 'OUT':<6} {'yes' if beyond else 'no'}")
+              f"{'OUT' if not inside else 'unresolved' if unresolved else 'ok':<10} {'yes' if beyond else 'no'}")
     differ = {r["seed"]: sorted(c for c in r["digests"] if r["digests"][c] != q["digests"].get(c))
               for r, q in zip(old, new) if r["digests"] != q["digests"]}
     cells = sum(len(r["digests"]) for r in old)
