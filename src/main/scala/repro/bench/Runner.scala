@@ -57,9 +57,7 @@ object Runner {
       if (gcModelMB > BenchConfig.memBudgetMB) AlgoCell("OOM", modelMB = gcModelMB)
       else {
         val (res, ms) = timed {
-          val rank = Orderings.byScore(sn)
-          val dag = CsrGraph.orient(g, rank)
-          val cliques = SparkCliqueLister.listAll(spark, dag, k)
+          val cliques = SparkCliqueLister.listAll(spark, dagById, k)
           CliqueScoreGreedy.select(g.n, k, cliques, sn)
         }
         Validation.ensureValid(g, res, s"$name k=$k GC")

@@ -15,15 +15,20 @@ object CliqueScoreGreedy {
   private val DigitBits = 16
   private val DigitMask = (1L << DigitBits) - 1
 
-  /** Greedy selection over pre-materialised canonical cliques, in
-    * ascending (clique score, canonical lex) order.
+  /** Greedy selection in ascending (clique score, canonical lex) order over
+    * cliques listed canonical and in lex order, as `CliqueSearch.listAll`
+    * and `SparkCliqueLister.listAll` return them.
     *
-    * The order comes from stable LSD counting passes alone: one per column
-    * by node id, last column first, which leaves canonical lex order, then
-    * one per 16-bit digit of the clique score (Definition 6), lowest first,
-    * up to the highest digit any score uses. A linear scan over a `used`
-    * bitmap then selects: O((k + passes)·τ + n), no comparator. A negative
-    * node score or a clique score over `Long.MaxValue` is rejected.
+    * The pass that sums each clique's score (Definition 6) also checks
+    * the listing: every id in [0, n), ids rising strictly within each
+    * clique, and each clique strictly after the previous one in lex order;
+    * anything else, a repeated clique included, is rejected naming the
+    * clique's index. Stable LSD counting passes, one per 16-bit digit of
+    * the score, lowest first, up to the highest digit any score uses, then
+    * order the cliques by score with lex order kept among ties, and a
+    * linear scan over a `used` bitmap selects: O(passes·τ + n), no
+    * comparator. A negative node score or a clique score over
+    * `Long.MaxValue` is rejected.
     */
   def select(n: Int, k: Int, cliques: Cliques, sn: Array[Long]): DisjointResult = {
     require(cliques.k == k, s"cliques of ${cliques.k} nodes for k=$k")
@@ -34,17 +39,29 @@ object CliqueScoreGreedy {
     var maxScore = 0L
     var c = 0
     while (c < tau) {
+      val base = c * k
+      var after = c == 0 // decided: clique c comes after clique c − 1
       var s = 0L
       var j = 0
       while (j < k) {
-        val x = sn(nodes(c * k + j))
-        if (x < 0) throw new IllegalArgumentException(s"node ${nodes(c * k + j)} has score $x < 0")
+        val u = nodes(base + j)
+        if (u < 0 || u >= n) throw new IllegalArgumentException(s"clique $c has node $u outside [0, $n)")
+        if (j > 0 && u <= nodes(base + j - 1))
+          throw new IllegalArgumentException(s"clique $c's ids do not rise strictly: ${cliques(c).mkString(",")}")
+        if (!after) {
+          val was = nodes(base - k + j)
+          if (u < was) throw new IllegalArgumentException(s"clique $c comes before clique ${c - 1} in lex order")
+          after = u > was
+        }
+        val x = sn(u)
+        if (x < 0) throw new IllegalArgumentException(s"node $u has score $x < 0")
         s = try Math.addExact(s, x) catch {
           case _: ArithmeticException =>
             throw new IllegalArgumentException(s"clique $c's score is over Long.MaxValue")
         }
         j += 1
       }
+      if (!after) throw new IllegalArgumentException(s"clique $c repeats clique ${c - 1}")
       score(c) = s
       if (s > maxScore) maxScore = s
       c += 1
@@ -54,22 +71,13 @@ object CliqueScoreGreedy {
     var next = new Array[Int](tau)
     c = 0
     while (c < tau) { order(c) = c; c += 1 }
-    val count = new Array[Int](math.max(n, 1 << DigitBits) + 1)
-    def pass(buckets: Int)(key: Int => Int): Unit = {
-      countingPass(order, next, count, buckets)(key)
-      val t = order; order = next; next = t
-    }
-    var col = k - 1
-    while (col >= 0) {
-      val at = col
-      pass(n)(c => nodes(c * k + at))
-      col -= 1
-    }
+    val count = new Array[Int]((1 << DigitBits) + 1)
     val bits = 64 - java.lang.Long.numberOfLeadingZeros(maxScore)
     var shift = 0
     while (shift < bits) {
       val at = shift
-      pass(1 << DigitBits)(c => ((score(c) >>> at) & DigitMask).toInt)
+      countingPass(order, next, count)(c => ((score(c) >>> at) & DigitMask).toInt)
+      val t = order; order = next; next = t
       shift += DigitBits
     }
 
@@ -92,15 +100,15 @@ object CliqueScoreGreedy {
   }
 
   /** One stable counting pass: `next` gets the cliques of `order` sorted
-    * by `key`, a value in [0, buckets), ties kept in `order`'s order.
+    * by `key`, a value in [0, `count.length` − 1), ties kept in `order`'s
+    * order.
     */
-  private def countingPass(order: Array[Int], next: Array[Int], count: Array[Int], buckets: Int)
-                          (key: Int => Int): Unit = {
-    Arrays.fill(count, 0, buckets + 1, 0)
+  private def countingPass(order: Array[Int], next: Array[Int], count: Array[Int])(key: Int => Int): Unit = {
+    Arrays.fill(count, 0)
     var i = 0
     while (i < order.length) { count(key(i) + 1) += 1; i += 1 }
-    var v = 0
-    while (v < buckets) { count(v + 1) += count(v); v += 1 }
+    var v = 1
+    while (v < count.length) { count(v) += count(v - 1); v += 1 }
     i = 0
     while (i < order.length) {
       val c = order(i)

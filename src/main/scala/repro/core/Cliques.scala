@@ -7,8 +7,8 @@ import java.util.Arrays
   *
   * One `Array[Int]` instead of τ small arrays: no per-clique header or
   * reference, and Spark ships one block per partition. Flat storage
-  * needs τ·k ≤ `Int.MaxValue`; `Buffer` and `concat` check it with
-  * [[Cliques.checkSize]] before they would exceed it.
+  * needs τ·k ≤ `Int.MaxValue`; `Buffer` and `SourcePass.undealt` check it
+  * with [[Cliques.checkSize]] before they would exceed it.
   */
 final case class Cliques(k: Int, nodes: Array[Int]) {
   require(k >= 1 && nodes.length % k == 0, s"${nodes.length} nodes do not split into $k-cliques")
@@ -29,15 +29,6 @@ object Cliques {
     if (tau * k > Int.MaxValue)
       throw new IllegalStateException(
         s"$tau cliques of k=$k need ${tau * k} ids, over Int.MaxValue for flat clique storage")
-
-  /** Concatenate per-partition blocks of canonical cliques. */
-  def concat(k: Int, blocks: Array[Array[Int]]): Cliques = {
-    checkSize(blocks.iterator.map(_.length.toLong).sum / k, k)
-    val out = new Array[Int](blocks.iterator.map(_.length).sum)
-    var at = 0
-    for (b <- blocks) { System.arraycopy(b, 0, out, at, b.length); at += b.length }
-    Cliques(k, out)
-  }
 
   /** Appends cliques in canonical form to a growing flat array. */
   final class Buffer(k: Int) {

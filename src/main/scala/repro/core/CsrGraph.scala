@@ -153,4 +153,38 @@ object CsrGraph {
     }
     new CsrGraph(g.n, offsets, adj)
   }
+
+  /** The same graph with every arc pointing from its lower id to its
+    * higher id, rows sorted: `orient(g, rank)` with rank(u) = n − 1 − u,
+    * for the graph g of which `dag` is any orientation. O(n + m): the arcs
+    * are grouped by their higher end, then regrouped by their lower end
+    * while the higher ends are read in ascending order, which sorts the
+    * rows. A self-loop, or an edge that `dag` holds twice (in either
+    * direction), is rejected.
+    */
+  def upward(dag: CsrGraph): CsrGraph = {
+    val down = group(dag.n, dag.adjSize) { f =>
+      for (u <- 0 until dag.n) dag.foreachNeighbor(u)(v => f(math.max(u, v), math.min(u, v)))
+    }
+    val up = group(dag.n, dag.adjSize) { f =>
+      for (hi <- 0 until dag.n) down.foreachNeighbor(hi)(lo => f(lo, hi))
+    }
+    for (u <- 0 until up.n; o <- up.offsets(u) until up.offsets(u + 1))
+      require(up.adj(o) > (if (o == up.offsets(u)) u else up.adj(o - 1)),
+        s"edge ($u, ${up.adj(o)}) is a self-loop or appears twice: not a DAG of a simple graph")
+    up
+  }
+
+  /** The `m` arcs (from, to) that `arcs` visits (twice, the same way each
+    * time) as a CSR: row `from` holds the `to`s in the order visited.
+    */
+  private def group(n: Int, m: Int)(arcs: ((Int, Int) => Unit) => Unit): CsrGraph = {
+    val offsets = new Array[Int](n + 1)
+    arcs((from, _) => offsets(from + 1) += 1)
+    for (u <- 0 until n) offsets(u + 1) += offsets(u)
+    val adj = new Array[Int](m)
+    val cursor = Arrays.copyOf(offsets, n)
+    arcs { (from, to) => adj(cursor(from)) = to; cursor(from) += 1 }
+    new CsrGraph(n, offsets, adj)
+  }
 }

@@ -28,14 +28,18 @@ object NodeScores {
   def totalCliques(scores: Array[Long], k: Int): Long = scores.sum / k
 }
 
-/** Distributed full k-clique listing for GC: each partition lists the
-  * cliques rooted at its sources into one flat canonical block, and the
-  * driver concatenates the collected blocks once (this is exactly the
-  * memory cost GC pays and Algorithm 3 avoids).
+/** Distributed full k-clique listing for GC, in canonical lex order (the
+  * order of `CliqueSearch.listAll(dag, k)`): each partition lists the
+  * cliques rooted at its dealt sources of `CsrGraph.upward(dag)` into one
+  * flat block, and the driver deals the collected blocks back into source
+  * order once (this is exactly the memory cost GC pays and Algorithm 3
+  * avoids).
   */
 object SparkCliqueLister {
 
-  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques =
-    SourcePass.onSpark(spark, dag, k)(CliqueSearch.listAll(_, _).nodes)(
-      blocks => Cliques.concat(k, blocks.collect()))
+  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques = {
+    val up = CsrGraph.upward(dag)
+    SourcePass.onSpark(spark, up, k)(CliqueSearch.listAll(_, _).nodes)(
+      parts => Cliques(k, SourcePass.undealt(up.n, k, parts.collect())))
+  }
 }

@@ -95,15 +95,24 @@ class AlgorithmsSpec extends AnyFunSuite {
       }
   }
 
-  /** select on the listing of the score-ordered DAG, and on a shuffled
-    * copy of it, both equal the reference in content and selection order.
+  /** select on the listing (GC's pipeline in `TestGraphs.gc`) equals the
+    * reference in content and selection order; a shuffled copy of the
+    * listing, once it differs from it, is rejected as out of order.
     */
   private def assertGcOrder(g: CsrGraph, k: Int, scores: Array[Long], seed: Long): Unit = {
     val want = referenceGc(g.n, TestGraphs.bruteCliques(g, k).toSeq, scores)
-    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byScore(scores)), k)
-    val shuffled = Cliques(k, new Random(seed).shuffle(TestGraphs.grouped(listed).toSeq).flatten.toArray)
-    for (cliques <- Seq(listed, shuffled))
-      assert(CliqueScoreGreedy.select(g.n, k, cliques, scores).cliques.map(_.toSeq) == want)
+    val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), k)
+    assert(CliqueScoreGreedy.select(g.n, k, listed, scores).cliques.map(_.toSeq) == want)
+    assert(TestGraphs.gc(g, k, scores)._1.cliques.map(_.toSeq) == want)
+    val cs = TestGraphs.grouped(listed).map(_.toSeq).toSeq
+    if (cs.length >= 2) {
+      val rnd = new Random(seed)
+      val shuffled = Iterator.continually(rnd.shuffle(cs)).find(_ != cs).get
+      assert(shuffled != cs)
+      val e = intercept[IllegalArgumentException](
+        CliqueScoreGreedy.select(g.n, k, Cliques(k, shuffled.flatten.toArray), scores))
+      assert(e.getMessage.contains("in lex order"), e.getMessage)
+    }
   }
 
   for (k <- 3 to 6; seed <- 0 until 4) {
@@ -184,6 +193,36 @@ class AlgorithmsSpec extends AnyFunSuite {
     val g = TestGraphs.complete(6)
     val scores = Array.tabulate(g.n)(u => Long.MaxValue / 8 - (u % 2))
     assertGcOrder(g, 3, scores, 0)
+  }
+
+  /** select's message on `nodes`, listed as 3-cliques of a 6-node graph
+    * with zero scores.
+    */
+  private def rejected(nodes: Int*): String =
+    intercept[IllegalArgumentException](
+      CliqueScoreGreedy.select(6, 3, Cliques(3, nodes.toArray), new Array[Long](6))).getMessage
+
+  test("GC select rejects a node id outside [0, n), naming the clique") {
+    assert(rejected(0, 1, 2, 3, 4, 6).contains("clique 1 has node 6 outside [0, 6)"))
+    assert(rejected(-1, 0, 1).contains("clique 0 has node -1 outside [0, 6)"))
+  }
+
+  test("GC select rejects a repeated clique") {
+    assert(rejected(0, 1, 2, 1, 2, 3, 1, 2, 3).contains("clique 2 repeats clique 1"))
+  }
+
+  test("GC select rejects a clique whose ids do not rise strictly") {
+    assert(rejected(0, 1, 2, 5, 4, 3).contains("clique 1's ids do not rise strictly: 5,4,3"))
+    assert(rejected(1, 1, 2).contains("clique 0's ids do not rise strictly"))
+  }
+
+  test("GC select rejects a listing out of lex order") {
+    assert(rejected(0, 1, 3, 0, 1, 2).contains("clique 1 comes before clique 0 in lex order"))
+    // a real listing with two neighbouring cliques swapped
+    val g = TestGraphs.complete(6)
+    val cs = TestGraphs.grouped(CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3))
+    assert(rejected((cs.take(4) ++ Seq(cs(5), cs(4)) ++ cs.drop(6)).flatten.toIndexedSeq: _*)
+      .contains("clique 5 comes before clique 4 in lex order"))
   }
 
   test("GC select rejects a node-score array whose length is not n") {

@@ -267,7 +267,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     val rank = Orderings.byScore(sn)
     val dag = CsrGraph.orient(g, rank)
     val search = new CliqueSearch(dag, k)
-    val all = TestGraphs.grouped(CliqueSearch.listAll(dag, k))
+    val all = TestGraphs.grouped(CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), k))
     for (valid <- null +: Seq.fill(3)(Array.fill(g.n)(rnd.nextDouble() < 0.85))) {
       val live = if (valid == null) all else all.filter(_.forall(valid(_)))
       check(k, search, sn, valid, live.groupBy(c => c.maxBy(rank(_))))
@@ -349,18 +349,36 @@ class CliqueSearchSpec extends AnyFunSuite {
       assert(listed.length.toLong == TestGraphs.tau(dag, k))
       val cs = TestGraphs.grouped(listed).map(_.toSeq)
       assert(cs.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
-      assert(cs.distinct.length == cs.length, "clique listed twice")
+      assert(TestGraphs.strictlyLex(listed), "not strictly lex-increasing")
       assert(cs.indices.forall(i => listed(i).toSeq == cs(i)))
+      for (rank <- Seq(Orderings.byId(g.n), Orderings.byScore(TestGraphs.nodeScores(g, k)),
+                       Array.tabulate(g.n)(u => g.n - 1 - u)))
+        assert(CliqueSearch.listAll(CsrGraph.orient(g, rank), k).nodes.toSeq == listed.nodes.toSeq, s"k=$k seed=$seed")
     }
   }
 
-  test("Cliques.concat joins blocks in order; Buffer sorts each clique") {
+  test("undealt merges dealt parts' rows back into source order; Buffer sorts each clique") {
     val b = new Cliques.Buffer(3)
     Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
     assert(b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
-    val joined = Cliques.concat(3, Array(b.nodes, Array.empty[Int], Array(6, 7, 8)))
-    assert(joined.length == 3 && joined.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4, 6, 7, 8))
-    assert(Cliques.concat(4, Array.empty).length == 0)
+    // source u has u % 3 rows (u, r): none, one or two; parts get them as dealt
+    val n = 5 * SourcePass.Block + 17
+    val rows = for (u <- 0 until n; r <- 0 until u % 3) yield Seq(u, r)
+    for (parts <- Seq(1, 3, 8)) {
+      val byPart = Array.tabulate(parts) { p =>
+        val mine = Set.newBuilder[Int]
+        SourcePass.dealt(n, parts, p).foreach(mine += _)
+        val sources = mine.result()
+        rows.filter(r => sources(r.head)).flatten.toArray
+      }
+      assert(SourcePass.undealt(n, 2, byPart).toSeq == rows.flatten, s"parts=$parts")
+    }
+    assert(SourcePass.undealt(0, 4, Array.fill(8)(Array.empty[Int])).isEmpty)
+    // a row in a part its source is not dealt to, and a row after one of a later block
+    val e = intercept[IllegalArgumentException](SourcePass.undealt(n, 2, Array(Array(0, 0), Array(1, 0))))
+    assert(e.getMessage.contains("part 1's row at 0 starts with source 1"), e.getMessage)
+    val late = intercept[IllegalArgumentException](SourcePass.undealt(n, 2, Array(Array(SourcePass.Block, 0, 3, 0))))
+    assert(late.getMessage.contains("part 0's row at 2 starts with source 3"), late.getMessage)
   }
 
   test("size check: τ·k over Int.MaxValue fails, naming τ and k") {

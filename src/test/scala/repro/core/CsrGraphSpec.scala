@@ -80,6 +80,38 @@ class CsrGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("upward gives orient(g, reverse id) from the by-id, by-degree, by-score and reversed-id DAGs") {
+    // a hub (node 0) adjacent to all 99 other nodes, whose row spans two 64-bit words, plus random edges
+    val hub = {
+      val rnd = new scala.util.Random(5)
+      val extra = for (u <- 1 until 100; v <- u + 1 until 100 if rnd.nextDouble() < 0.1) yield (u, v)
+      TestGraphs.fromEdges(100, (1 until 100).map((0, _)) ++ extra)
+    }
+    for (g <- Seq(CsrGraph.fromUndirectedEdges(5, Array.empty, Array.empty), CsrGraph.fromUndirectedEdges(0, Array.empty, Array.empty),
+                  TestGraphs.fig2, hub, TestGraphs.randomGraph(30, 0.3, 8))) {
+      val reverse = Array.tabulate(g.n)(u => g.n - 1 - u)
+      val want = CsrGraph.orient(g, reverse)
+      for (rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g), Orderings.byScore(TestGraphs.nodeScores(g, 3)), reverse)) {
+        val up = CsrGraph.upward(CsrGraph.orient(g, rank))
+        assert(up.offsets.toSeq == want.offsets.toSeq && up.adj.toSeq == want.adj.toSeq, s"n=${g.n}")
+        assert(up.adjSize.toLong == g.undirectedEdgeCount)
+        for (u <- 0 until g.n) {
+          val row = up.neighborsOf(u).toSeq
+          assert(row == row.sorted && row.forall(_ > u), s"n=${g.n} u=$u")
+          assert(row.toSet == g.neighborsOf(u).filter(_ > u).toSet, s"n=${g.n} u=$u")
+        }
+      }
+    }
+    assert(CsrGraph.upward(CsrGraph.orient(hub, Orderings.byId(hub.n))).degree(0) == 99)
+  }
+
+  test("upward rejects a graph that holds an edge twice or a self-loop") {
+    val g = TestGraphs.fig2
+    val e = intercept[IllegalArgumentException](CsrGraph.upward(g)) // undirected: every edge both ways
+    assert(e.getMessage.contains("edge (0, 2)") && e.getMessage.contains("appears twice"), e.getMessage)
+    intercept[IllegalArgumentException](CsrGraph.upward(new CsrGraph(2, Array(0, 1, 1), Array(0))))
+  }
+
   test("hasEdge out-of-range is false") {
     val g = TestGraphs.complete(3)
     assert(!g.hasEdge(-1, 0) && !g.hasEdge(0, 3) && !g.hasEdge(5, 7))

@@ -3,8 +3,6 @@ package repro.core
 import repro.SparkSpec
 import repro.graphdata.GraphGen
 
-import scala.math.Ordering.Implicits.seqOrdering
-
 /** Distributed node-score computation vs the driver-side reference. */
 class NodeScoresSpec extends SparkSpec {
 
@@ -37,21 +35,21 @@ class NodeScoresSpec extends SparkSpec {
           assert(NodeScores.compute(spark, dag, k).toSeq == driver.toSeq, s"n=$n")
           val listed = SparkCliqueLister.listAll(spark, dag, k)
           assert(listed.length.toLong == NodeScores.totalCliques(driver, k), s"n=$n")
-          val dist = TestGraphs.grouped(listed).map(_.toSeq).toSeq
-          assert(dist.sorted == TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq.sorted, s"n=$n")
+          assert(listed.nodes.toSeq == CliqueSearch.listAll(dag, k).nodes.toSeq, s"n=$n")
         }
       }
     }
   }
 
   for (k <- 3 to 5) {
-    test(s"SparkCliqueLister == driver listAll (multiset), k=$k") {
+    test(s"SparkCliqueLister == driver listAll (sequence), k=$k") {
       val g = TestGraphs.randomGraph(35, 0.35, 555L + k)
       val dag = CsrGraph.orient(g, Orderings.byDegree(g))
       val listed = SparkCliqueLister.listAll(spark, dag, k)
       val dist = TestGraphs.grouped(listed).map(_.toSeq).toSeq
       val driver = TestGraphs.grouped(CliqueSearch.listAll(dag, k)).map(_.toSeq).toSeq
-      assert(dist.sorted == driver.sorted)
+      assert(dist == driver)
+      assert(TestGraphs.strictlyLex(listed), "not strictly lex-increasing")
       assert(listed.length.toLong == TestGraphs.tau(dag, k))
       assert(listed.length == TestGraphs.bruteCliques(g, k).size)
       assert(dist.forall(c => c.zip(c.tail).forall { case (a, b) => a < b }), "non-canonical clique")
@@ -61,11 +59,9 @@ class NodeScoresSpec extends SparkSpec {
   test("GC fed by Spark-listed cliques equals driver GC") {
     val g = TestGraphs.randomGraph(35, 0.4, 999)
     val k = 3
-    val dag0 = CsrGraph.orient(g, Orderings.byId(g.n))
-    val sn = NodeScores.compute(spark, dag0, k)
-    val rank = Orderings.byScore(sn)
-    val dag = CsrGraph.orient(g, rank)
-    val sparkCliques = SparkCliqueLister.listAll(spark, dag, k)
+    val dagById = CsrGraph.orient(g, Orderings.byId(g.n))
+    val sn = NodeScores.compute(spark, dagById, k)
+    val sparkCliques = SparkCliqueLister.listAll(spark, dagById, k)
     val viaSpark = CliqueScoreGreedy.select(g.n, k, sparkCliques, sn)
     val (viaDriver, _) = TestGraphs.gc(g, k, sn)
     assert(viaSpark.cliqueSets == viaDriver.cliqueSets)

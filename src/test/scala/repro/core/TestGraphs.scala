@@ -42,6 +42,10 @@ object TestGraphs {
   /** The cliques of a flat listing, one array each, in listing order. */
   def grouped(c: Cliques): Array[Array[Int]] = c.nodes.grouped(c.k).toArray
 
+  /** Whether the cliques of a flat listing rise strictly in lex order. */
+  def strictlyLex(c: Cliques): Boolean =
+    (1 until c.length).forall(i => CliqueSearch.compareCanon(c(i - 1), c(i)) < 0)
+
   def complete(n: Int): CsrGraph =
     fromEdges(n, for (i <- 0 until n; j <- (i + 1) until n) yield (i, j))
 
@@ -109,11 +113,12 @@ object TestGraphs {
   /** Clique score s_c(C) = Σ_{u∈C} s_n(u) (Definition 6). */
   def cliqueScore(c: Iterable[Int], sn: Array[Long]): Long = c.iterator.map(sn(_)).sum
 
-  /** GC's pipeline on the driver: list the cliques of the score-ordered
-    * DAG and select. Returns (S, number of stored cliques).
+  /** GC's pipeline on the driver, as `Runner.evaluate` runs it: list the
+    * cliques of the by-id DAG and select. Returns (S, number of stored
+    * cliques).
     */
   def gc(g: CsrGraph, k: Int, sn: Array[Long]): (DisjointResult, Long) = {
-    val cliques = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byScore(sn)), k)
+    val cliques = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), k)
     (CliqueScoreGreedy.select(g.n, k, cliques, sn), cliques.length.toLong)
   }
 
