@@ -357,7 +357,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
-  test("undealt merges dealt parts' rows back into source order; Buffer sorts each clique") {
+  test("undealt restores source order of dealt rows; Buffer sorts each clique") {
     val b = new Cliques.Buffer(3)
     Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
     assert(b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
