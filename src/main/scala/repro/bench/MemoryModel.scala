@@ -37,11 +37,11 @@ object MemoryModel {
   /** LP base + τ cliques (k-int array each) + the τ-long sort order.
     * This models the paper's GC, and it feeds `optBytes` and the OOM
     * gate, so it stays as is. The code holds one flat 4kτ-byte clique
-    * array, already in canonical lex order (the Spark listing merges it
-    * from the collected parts, another 4kτ bytes until the merge
-    * returns), and `CliqueScoreGreedy.select` adds τ clique scores and two
-    * τ-int orders for its score-digit passes, 16τ bytes, plus one
-    * 2^16-bucket count array.
+    * array, listed on the driver already in canonical lex order (its
+    * growing buffer is copied on each doubling and once to trim it), and
+    * `CliqueScoreGreedy.select` adds τ clique scores and two τ-int orders
+    * for its score-digit passes, 16τ bytes, plus one 2^16-bucket count
+    * array.
     */
   def gcBytes(g: CsrGraph, k: Int, tau: Long): Long =
     lpBytes(g, k) + tau * (arrayHeader + 4L * k + 8L) + 8L * tau

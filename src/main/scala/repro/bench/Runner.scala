@@ -57,7 +57,7 @@ object Runner {
       if (gcModelMB > BenchConfig.memBudgetMB) AlgoCell("OOM", modelMB = gcModelMB)
       else {
         val (res, ms) = timed {
-          val cliques = SparkCliqueLister.listAll(spark, dagById, k)
+          val cliques = CliqueSearch.listAll(dagById, k)
           CliqueScoreGreedy.select(g.n, k, cliques, sn)
         }
         Validation.ensureValid(g, res, s"$name k=$k GC")

@@ -17,7 +17,7 @@ object CliqueScoreGreedy {
 
   /** Greedy selection in ascending (clique score, canonical lex) order over
     * cliques listed canonical and in lex order, as `CliqueSearch.listAll`
-    * and `SparkCliqueLister.listAll` return them.
+    * returns them on the driver.
     *
     * The pass that sums each clique's score (Definition 6) also checks
     * the listing: every id in [0, n), ids rising strictly within each

@@ -497,12 +497,10 @@ object CliqueSearch {
     Integer.compare(a.length, b.length)
   }
 
-  // The part functions of a source pass (`SourcePass`): each
-  // `(search, sources)` form visits the cliques rooted at `sources`; the
-  // `(dag, k)` forms run it over every node on the calling thread.
-
   /** Per-node counts of the cliques rooted at `sources` (node scores,
-    * Definition 5, when the sources are every node), by pivoting.
+    * Definition 5, when the sources are every node), by pivoting: the part
+    * function of a source pass (`SourcePass`); the `(dag, k)` form runs it
+    * over every node on the calling thread.
     */
   def countPerNode(search: CliqueSearch, sources: SourcePass.Sources): Array[Long] = {
     val counts = new Array[Long](search.dag.n)
@@ -513,28 +511,19 @@ object CliqueSearch {
   def countPerNode(dag: CsrGraph, k: Int): Array[Long] =
     countPerNode(new CliqueSearch(dag, k), SourcePass.dealt(dag.n, 1, 0))
 
-  /** The cliques rooted at `sources`, flat and canonical (ids ascending),
-    * source by source in the order `sources` visits them. On
-    * `CsrGraph.upward`'s DAG a source's cliques come in lex order and
-    * start with the source.
-    */
-  def listAll(search: CliqueSearch, sources: SourcePass.Sources): Cliques = {
-    val out = new Cliques.Buffer(search.k)
-    sources.foreach(search.forEachFrom(_, null)(out.add))
-    Cliques(search.k, out.nodes)
-  }
-
-  /** Materialise every k-clique of the graph that `dag` orients, flat, in
-    * canonical lex order. The listing runs on `CsrGraph.upward(dag)`,
-    * whatever `dag`'s orientation: there each clique is rooted at its
-    * smallest id, the sources are visited in ascending order and `rec`
-    * picks candidates in id order, so the cliques come out in lex order.
-    * The re-orientation is one O(m) pass; it keeps callers that hand over
-    * another orientation, such as the benchmark's GC layer with its
-    * by-score DAG, on the same sequence.
+  /** Materialise every k-clique of the graph that `dag` orients, flat and
+    * canonical (ids ascending), in lex order, on the calling thread. The
+    * listing runs on `CsrGraph.upward(dag)`, whatever `dag`'s orientation:
+    * there each clique is rooted at its smallest id, the sources are
+    * visited in ascending order and `rec` picks candidates in id order, so
+    * the cliques come out in lex order. The re-orientation is one O(m)
+    * pass; it keeps callers that hand over another orientation, such as
+    * the benchmark's GC layer with its by-score DAG, on the same sequence.
     */
   def listAll(dag: CsrGraph, k: Int): Cliques = {
-    val up = CsrGraph.upward(dag)
-    listAll(new CliqueSearch(up, k), SourcePass.dealt(up.n, 1, 0))
+    val search = new CliqueSearch(CsrGraph.upward(dag), k)
+    val out = new Cliques.Buffer(k)
+    for (u <- 0 until dag.n) search.forEachFrom(u, null)(out.add)
+    Cliques(k, out.nodes)
   }
 }

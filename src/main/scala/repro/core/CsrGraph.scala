@@ -71,13 +71,23 @@ object CsrGraph {
     }
     val packed = Arrays.copyOf(enc, cnt)
     Arrays.sort(packed)
-    var uniq = 0
+    var m = 0
     i = 0
     while (i < packed.length) {
-      if (uniq == 0 || packed(uniq - 1) != packed(i)) { packed(uniq) = packed(i); uniq += 1 }
+      if (m == 0 || packed(m - 1) != packed(i)) { packed(m) = packed(i); m += 1 }
       i += 1
     }
-    fromCanonicalEncoded(n, packed, uniq)
+    checkSize(n, m)
+    // Edges in (lo, hi) order give row u its lower neighbours ascending,
+    // then its higher ones ascending: every row comes out sorted.
+    group(n) { f =>
+      var e = 0
+      while (e < m) {
+        val lo = (packed(e) >>> 32).toInt; val hi = (packed(e) & 0xffffffffL).toInt
+        f(lo, hi); f(hi, lo)
+        e += 1
+      }
+    }
   }
 
   /** Throws IllegalArgumentException when m undirected edges do not fit
@@ -87,38 +97,6 @@ object CsrGraph {
     if (2 * m > Int.MaxValue)
       throw new IllegalArgumentException(
         s"n=$n, m=$m: 2m = ${2 * m} adjacency entries overflow the Int CSR")
-
-  /** Build from already-unique canonical (lo<hi) encoded edges. */
-  private def fromCanonicalEncoded(n: Int, packed: Array[Long], m: Int): CsrGraph = {
-    checkSize(n, m)
-    val deg = new Array[Int](n)
-    var i = 0
-    while (i < m) {
-      val e = packed(i)
-      deg((e >>> 32).toInt) += 1
-      deg((e & 0xffffffffL).toInt) += 1
-      i += 1
-    }
-    val offsets = new Array[Int](n + 1)
-    i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val adj = new Array[Int](2 * m)
-    val cursor = Arrays.copyOf(offsets, n)
-    i = 0
-    while (i < m) {
-      val e = packed(i)
-      val a = (e >>> 32).toInt; val b = (e & 0xffffffffL).toInt
-      adj(cursor(a)) = b; cursor(a) += 1
-      adj(cursor(b)) = a; cursor(b) += 1
-      i += 1
-    }
-    // Per-node slices: sources are scanned in ascending canonical order so
-    // lo-side entries are already sorted, but hi-side entries interleave —
-    // sort each slice to restore the binary-search invariant.
-    i = 0
-    while (i < n) { Arrays.sort(adj, offsets(i), offsets(i + 1)); i += 1 }
-    new CsrGraph(n, offsets, adj)
-  }
 
   /** Orient an undirected graph into a DAG by a rank array (the total
     * ordering η of the paper): edge u→v is kept iff rank(v) < rank(u),
@@ -136,22 +114,9 @@ object CsrGraph {
       taken(r) = true
       u += 1
     }
-    val offsets = new Array[Int](g.n + 1)
-    u = 0
-    while (u < g.n) {
-      var d = 0
-      g.foreachNeighbor(u) { v => if (rank(v) < rank(u)) d += 1 }
-      offsets(u + 1) = offsets(u) + d
-      u += 1
+    group(g.n) { f =>
+      for (u <- 0 until g.n) g.foreachNeighbor(u)(v => if (rank(v) < rank(u)) f(u, v))
     }
-    val adj = new Array[Int](offsets(g.n))
-    u = 0
-    while (u < g.n) {
-      var c = offsets(u)
-      g.foreachNeighbor(u) { v => if (rank(v) < rank(u)) { adj(c) = v; c += 1 } }
-      u += 1
-    }
-    new CsrGraph(g.n, offsets, adj)
   }
 
   /** The same graph with every arc pointing from its lower id to its
@@ -163,10 +128,10 @@ object CsrGraph {
     * direction), is rejected.
     */
   def upward(dag: CsrGraph): CsrGraph = {
-    val down = group(dag.n, dag.adjSize) { f =>
+    val down = group(dag.n) { f =>
       for (u <- 0 until dag.n) dag.foreachNeighbor(u)(v => f(math.max(u, v), math.min(u, v)))
     }
-    val up = group(dag.n, dag.adjSize) { f =>
+    val up = group(dag.n) { f =>
       for (hi <- 0 until dag.n) down.foreachNeighbor(hi)(lo => f(lo, hi))
     }
     for (u <- 0 until up.n; o <- up.offsets(u) until up.offsets(u + 1))
@@ -175,14 +140,15 @@ object CsrGraph {
     up
   }
 
-  /** The `m` arcs (from, to) that `arcs` visits (twice, the same way each
-    * time) as a CSR: row `from` holds the `to`s in the order visited.
+  /** The one CSR builder: the arcs (from, to) that `arcs` visits (twice,
+    * the same way each time) as a CSR, counted on the first visit and
+    * filled on the second: row `from` holds the `to`s in the order visited.
     */
-  private def group(n: Int, m: Int)(arcs: ((Int, Int) => Unit) => Unit): CsrGraph = {
+  private def group(n: Int)(arcs: ((Int, Int) => Unit) => Unit): CsrGraph = {
     val offsets = new Array[Int](n + 1)
     arcs((from, _) => offsets(from + 1) += 1)
     for (u <- 0 until n) offsets(u + 1) += offsets(u)
-    val adj = new Array[Int](m)
+    val adj = new Array[Int](offsets(n))
     val cursor = Arrays.copyOf(offsets, n)
     arcs { (from, to) => adj(cursor(from)) = to; cursor(from) += 1 }
     new CsrGraph(n, offsets, adj)

@@ -28,18 +28,11 @@ object NodeScores {
   def totalCliques(scores: Array[Long], k: Int): Long = scores.sum / k
 }
 
-/** Distributed full k-clique listing for GC, in canonical lex order (the
-  * order of `CliqueSearch.listAll(dag, k)`): each partition lists the
-  * cliques rooted at its dealt sources of `CsrGraph.upward(dag)` into one
-  * flat block, and the driver deals the collected blocks back into source
-  * order once (this is exactly the memory cost GC pays and Algorithm 3
-  * avoids).
+/** GC's listing, `CliqueSearch.listAll(dag, k)` on the driver, under the
+  * name perfbench's GC layer times; `spark` is unused. Kept only because
+  * perfbench calls it, until ROADMAP item 4 deletes it.
   */
 object SparkCliqueLister {
 
-  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques = {
-    val up = CsrGraph.upward(dag)
-    SourcePass.onSpark(spark, up, k)(CliqueSearch.listAll(_, _).nodes)(
-      parts => Cliques(k, SourcePass.undealt(up.n, k, parts.collect())))
-  }
+  def listAll(spark: SparkSession, dag: CsrGraph, k: Int): Cliques = CliqueSearch.listAll(dag, k)
 }

@@ -46,37 +46,6 @@ private[core] object SourcePass {
     */
   def dealt(n: Int, parts: Int, p: Int): Sources = new Sources(n, p, parts)
 
-  /** The inverse of `dealt` for rows of `width` ints that each start with
-    * the source (out of n) that produced them: `parts(p)` holds part p's
-    * rows in ascending source order, and the result holds every row in
-    * ascending source order, taking each block's run of rows from the part
-    * it was dealt to. A row that this leaves over (its source dealt to
-    * another part, or listed after a row of a later block) is rejected,
-    * and so is a result of more than `Int.MaxValue` ints.
-    */
-  def undealt(n: Int, width: Int, parts: Array[Array[Int]]): Array[Int] = {
-    val total = parts.iterator.map(_.length.toLong).sum
-    Cliques.checkSize(total / width, width)
-    val out = new Array[Int](total.toInt)
-    val taken = new Array[Int](parts.length)
-    var to = 0
-    var block = 0
-    while (block.toLong * Block < n) {
-      val p = block % parts.length
-      val rows = parts(p)
-      var end = taken(p)
-      while (end < rows.length && Math.floorDiv(rows(end), Block) == block) end += width
-      System.arraycopy(rows, taken(p), out, to, end - taken(p))
-      to += end - taken(p)
-      taken(p) = end
-      block += 1
-    }
-    for (p <- parts.indices if taken(p) < parts(p).length)
-      throw new IllegalArgumentException(
-        s"part $p's row at ${taken(p)} starts with source ${parts(p)(taken(p))}, not dealt to it in ascending order")
-    out
-  }
-
   /** One Spark job over the DAG's sources: each partition holds one part
     * number, and `part` turns that part's dealt sources, with one
     * `CliqueSearch`, into the partition's one element; `merge` runs the

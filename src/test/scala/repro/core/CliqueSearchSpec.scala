@@ -357,28 +357,10 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
-  test("undealt restores source order of dealt rows; Buffer sorts each clique") {
+  test("Buffer sorts each clique and keeps them in order") {
     val b = new Cliques.Buffer(3)
     Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
-    assert(b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
-    // source u has u % 3 rows (u, r): none, one or two; parts get them as dealt
-    val n = 5 * SourcePass.Block + 17
-    val rows = for (u <- 0 until n; r <- 0 until u % 3) yield Seq(u, r)
-    for (parts <- Seq(1, 3, 8)) {
-      val byPart = Array.tabulate(parts) { p =>
-        val mine = Set.newBuilder[Int]
-        SourcePass.dealt(n, parts, p).foreach(mine += _)
-        val sources = mine.result()
-        rows.filter(r => sources(r.head)).flatten.toArray
-      }
-      assert(SourcePass.undealt(n, 2, byPart).toSeq == rows.flatten, s"parts=$parts")
-    }
-    assert(SourcePass.undealt(0, 4, Array.fill(8)(Array.empty[Int])).isEmpty)
-    // a row in a part its source is not dealt to, and a row after one of a later block
-    val e = intercept[IllegalArgumentException](SourcePass.undealt(n, 2, Array(Array(0, 0), Array(1, 0))))
-    assert(e.getMessage.contains("part 1's row at 0 starts with source 1"), e.getMessage)
-    val late = intercept[IllegalArgumentException](SourcePass.undealt(n, 2, Array(Array(SourcePass.Block, 0, 3, 0))))
-    assert(late.getMessage.contains("part 0's row at 2 starts with source 3"), late.getMessage)
+    assert(b.length == 2 && b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
   }
 
   test("size check: τ·k over Int.MaxValue fails, naming τ and k") {

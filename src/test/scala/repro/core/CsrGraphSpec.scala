@@ -34,6 +34,17 @@ class CsrGraphSpec extends AnyFunSuite {
   test("adjacency slices are sorted ascending") {
     val g = TestGraphs.fromEdges(6, Seq((5, 0), (5, 3), (5, 1), (5, 4), (5, 2)))
     assert(g.neighborsOf(5).toSeq == Seq(0, 1, 2, 3, 4))
+    // a random graph from a shuffled edge list, with reversed and duplicated edges
+    val rnd = new scala.util.Random(11)
+    val n = 60
+    val edges = for (u <- 0 until n; v <- u + 1 until n if rnd.nextDouble() < 0.2) yield (u, v)
+    val messy = rnd.shuffle(edges ++ edges.map(_.swap) ++ edges.filter(_ => rnd.nextBoolean()))
+    val h = CsrGraph.fromUndirectedEdges(n, messy.map(_._1).toArray, messy.map(_._2).toArray)
+    for (u <- 0 until n) {
+      val row = h.neighborsOf(u).toSeq
+      assert(row.zip(row.drop(1)).forall { case (a, b) => a < b }, s"u=$u")
+      assert(row.toSet == edges.collect { case (`u`, v) => v; case (v, `u`) => v }.toSet, s"u=$u")
+    }
   }
 
   test("fig2 graph has 9 nodes and 15 edges") {
