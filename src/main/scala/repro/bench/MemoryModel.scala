@@ -39,9 +39,9 @@ object MemoryModel {
     * gate, so it stays as is. The code holds one flat 4kτ-byte clique
     * array, listed on the driver already in canonical lex order (its
     * growing buffer is copied on each doubling and once to trim it), and
-    * `CliqueScoreGreedy.select` adds τ clique scores and two τ-int orders
-    * for its score-digit passes, 16τ bytes, plus one 2^16-bucket count
-    * array.
+    * `CliqueScoreGreedy.select` adds τ clique scores and the two τ-int
+    * orders of `Orderings.ascending`'s score-digit passes, 16τ bytes, plus
+    * one 2^16-bucket count array.
     */
   def gcBytes(g: CsrGraph, k: Int, tau: Long): Long =
     lpBytes(g, k) + tau * (arrayHeader + 4L * k + 8L) + 8L * tau

@@ -184,13 +184,13 @@ object Tables {
 
   /** Run the three update workloads of §VI-E on one dataset and k.
     *
+    * U is `BenchConfig.updatesPerWorkload`, at most a quarter of the edges.
     * Deletion: remove U random edges; compare |S| to scratch LP on the
     * shrunk graph. Insertion: re-add them; compare to scratch LP on the
     * restored graph. Mixed: pre-delete U other edges to form G', then
     * apply the 2U interleaved updates; compare to scratch on the result.
     */
-  def dynamicEval(spark: SparkSession, spec: Datasets.Spec, k: Int,
-                  updates: Int = BenchConfig.updatesPerWorkload): DynamicRow = {
+  def dynamicEval(spark: SparkSession, spec: Datasets.Spec, k: Int): DynamicRow = {
     val g = spec.csr
     val rnd = new Random(31337L + spec.name.hashCode + k)
 
@@ -201,7 +201,7 @@ object Tables {
       while (u < g.n) { g.foreachNeighbor(u)(v => if (u < v) buf += ((u, v))); u += 1 }
       buf.toArray
     }
-    val u1 = math.min(updates, allEdges.length / 4)
+    val u1 = math.min(BenchConfig.updatesPerWorkload, allEdges.length / 4)
     val shuffled = rnd.shuffle(allEdges.toVector)
     val delEdges = shuffled.take(u1)
     val mixDelPool = shuffled.slice(u1, 2 * u1) // pre-deleted, re-inserted in mixed

@@ -28,9 +28,8 @@ object BasicFramework {
       val v = order(i)
       val found = search.findFirst(v, valid) // null when v is masked
       if (found != null) {
-        val canon = found.clone()
-        java.util.Arrays.sort(canon)
-        out += canon
+        java.util.Arrays.sort(found)
+        out += found
         var j = 0
         while (j < k) { valid(found(j)) = false; j += 1 }
       }

@@ -42,13 +42,9 @@ object ExactSolver {
     val nc = cliques.length
     val nodes = cliques.nodes
 
-    // Node v's cliques are through[start(v), start(v + 1)), ascending.
-    val start = new Array[Int](g.n + 1)
-    nodes.foreach(v => start(v + 1) += 1)
-    for (v <- 0 until g.n) start(v + 1) += start(v)
-    val through = new Array[Int](nodes.length)
-    val fill = Arrays.copyOf(start, g.n)
-    for (o <- nodes.indices) { val v = nodes(o); through(fill(v)) = o / k; fill(v) += 1 }
+    // Node v's cliques are through[start(v), start(v + 1)), ascending (visited in listing order).
+    val index = CsrGraph.group(g.n)(f => for (o <- nodes.indices) f(nodes(o), o / k))
+    val (start, through) = (index.offsets, index.adj)
 
     // One pass: count each sharing pair (i, j > i) once, by the last i
     // that stamped j, and join each clique to the first clique on each

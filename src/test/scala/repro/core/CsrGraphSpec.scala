@@ -73,7 +73,7 @@ class CsrGraphSpec extends AnyFunSuite {
 
   test("orient preserves each edge exactly once for any permutation") {
     val g = TestGraphs.fig2
-    val rank = Orderings.fromKeys(g.n, u => ((u * 31) % 7).toLong)
+    val rank = Orderings.byScore(Array.tabulate(g.n)(u => ((u * 31) % 7).toLong))
     val dag = CsrGraph.orient(g, rank)
     assert(dag.adjSize == g.undirectedEdgeCount)
     // every DAG edge points to a smaller rank
