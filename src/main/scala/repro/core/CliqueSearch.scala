@@ -40,7 +40,7 @@ object PruneMode {
   * per thread / Spark partition.
   */
 final class CliqueSearch(val dag: CsrGraph, val k: Int) {
-  require(k >= 2, s"k must be >= 2, got $k")
+  require(k >= 3, s"k must be >= 3, got $k")
 
   /** A search for `forEachExtending` alone, over pools of a graph it is not given. */
   def this(k: Int) = this(null, k)
@@ -82,9 +82,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   /** The row builder: make `members(0 until d)`, all ids below `bound`,
     * the set S, and give row i the position of each node of S that is an
     * out-neighbour of S(i) in the DAG or, for a pool (`neighbours` given),
-    * that comes after S(i) and `neighbours(S(i))` visits.
+    * that comes after S(i) and is in `neighbours(S(i))`.
     */
-  private def fill(d: Int, bound: Int, neighbours: Int => (Int => Unit) => Unit): Unit = {
+  private def fill(d: Int, bound: Int, neighbours: Int => Array[Int]): Unit = {
     val w = (d + 63) >>> 6
     words = w
     Arrays.fill(rows, 0, d * w, 0L)
@@ -94,18 +94,27 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     i = 0
     while (i < d) {
       val row = i * w
-      if (neighbours == null) { // the hot path: no closure per neighbour
+      if (neighbours == null) {
         var o = dag.offsets(members(i))
         val end = dag.offsets(members(i) + 1)
         while (o < end) { val j = pos(dag.adj(o)); if (j >= 0) rows(row + (j >>> 6)) |= 1L << j; o += 1 }
-      } else {
-        val above = i
-        neighbours(members(i)) { x => val j = if (x < pos.length) pos(x) else -1; if (j > above) rows(row + (j >>> 6)) |= 1L << j }
-      }
+      } else poolRow(i, neighbours(members(i)))
       i += 1
     }
     i = 0
     while (i < d) { pos(members(i)) = -1; i += 1 }
+  }
+
+  /** Row i of a pool: the positions after i of the nodes of S in `ns`.
+    * Kept out of `fill`, so that `fill` stays under HotSpot's 325-byte
+    * limit for inlining a hot call (`FreqInlineSize`): with this loop
+    * inside, `fill` took 379 bytes and static-fl's `lp_s` read about 5%
+    * slower (two sets of 10 pairs on a 4-core VM).
+    */
+  private def poolRow(i: Int, ns: Array[Int]): Unit = {
+    val row = i * words
+    var o = 0
+    while (o < ns.length) { val j = if (ns(o) < pos.length) pos(ns(o)) else -1; if (j > i) rows(row + (j >>> 6)) |= 1L << j; o += 1 }
   }
 
   /** Put `u` at level 0 and make its out-neighbours that pass `valid` the
@@ -234,11 +243,11 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * lexicographic order of their node ids. The caller guarantees that
     * `prefix` is a clique, and that the nodes of `pool` (in any order,
     * repeats allowed) are not in `prefix` and are adjacent to all of it;
-    * `neighbours(v)(f)` calls f on every neighbour of v. `f` gets the
-    * reused clique array (prefix first) and returns true to stop; the
-    * result says whether it did.
+    * `neighbours(v)` holds v's neighbours, in any order. `f` gets the reused
+    * clique array (prefix first) and returns true to stop; the result
+    * says whether it did.
     */
-  def forEachExtending(prefix: Array[Int], pool: Array[Int], neighbours: Int => (Int => Unit) => Unit)
+  def forEachExtending(prefix: Array[Int], pool: Array[Int], neighbours: Int => Array[Int])
                       (f: Array[Int] => Boolean): Boolean = {
     val p = prefix.length
     require(p <= k, s"prefix of ${prefix.length} nodes for k=$k")
@@ -355,20 +364,13 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   }
 
   /** Add to `counts` every node's number of k-cliques rooted at `u`
-    * (exact modulo 2^64, like any sum of Longs). For k ≥ 3 they are u plus
-    * the (k−1)-cliques of its out-list S: load S's rows, add each row's
+    * (exact modulo 2^64, like any sum of Longs). They are u plus the
+    * (k−1)-cliques of its out-list S: load S's rows, add each row's
     * transpose to make them undirected, then count by pivoting from u held
     * and P = S.
     */
   private def countFrom(u: Int, counts: Array[Long]): Unit = {
     val d = dag.degree(u)
-    val adj = dag.adj
-    val base = dag.offsets(u)
-    if (k == 2) { // the cliques are u's out-edges
-      counts(u) += d
-      for (o <- base until base + d) counts(adj(o)) += 1
-      return
-    }
     if (d < k - 1) return
     if (binom == null) allocatePivoting()
     load(u, null)

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Arrays
+import scala.collection.mutable
 
 /** τ materialised k-cliques stored flat: clique i is
   * `nodes[i·k, (i+1)·k)`, node ids ascending (canonical form).
@@ -29,26 +30,38 @@ object Cliques {
       throw new IllegalStateException(
         s"$tau cliques of k=$k need ${tau * k} ids, over Int.MaxValue for flat clique storage")
 
-  /** Appends cliques in canonical form to a growing flat array. */
+  /** Cliques per chunk of a `Buffer`. */
+  private[core] final val Chunk = 4096
+
+  /** Appends cliques in canonical form to chunks of `Chunk` cliques, which
+    * `nodes` copies once into the flat result: no chunk is copied as the
+    * buffer grows.
+    */
   final class Buffer(k: Int) {
-    private var buf = new Array[Int](16 * k)
-    private var len = 0
+    private val chunks = mutable.ArrayBuffer.empty[Array[Int]]
+    /** The last of `chunks`. */
+    private var chunk: Array[Int] = null
+    private var count = 0
 
     /** Append a copy of `c` (any node order), sorted ascending. */
     def add(c: Array[Int]): Unit = {
-      if (len + k > buf.length) {
-        checkSize(len / k + 1L, k)
-        buf = Arrays.copyOf(buf, math.min(2L * buf.length, Int.MaxValue.toLong).toInt)
-      }
-      System.arraycopy(c, 0, buf, len, k)
-      Arrays.sort(buf, len, len + k)
-      len += k
+      checkSize(count + 1L, k)
+      val at = count % Chunk * k
+      if (at == 0) { chunk = new Array[Int](Chunk * k); chunks += chunk }
+      System.arraycopy(c, 0, chunk, at, k)
+      Arrays.sort(chunk, at, at + k)
+      count += 1
     }
 
     /** Number of cliques added so far. */
-    def length: Int = len / k
+    def length: Int = count
 
-    /** The nodes added so far, trimmed to length. */
-    def nodes: Array[Int] = if (len == buf.length) buf else Arrays.copyOf(buf, len)
+    /** The nodes added so far, in one exactly sized array. */
+    def nodes: Array[Int] = {
+      val out = new Array[Int](count * k)
+      val size = Chunk * k
+      for (i <- chunks.indices) System.arraycopy(chunks(i), 0, out, i * size, math.min(size, out.length - i * size))
+      out
+    }
   }
 }

@@ -144,7 +144,7 @@ object CsrGraph {
     * the same way each time) as a CSR, counted on the first visit and
     * filled on the second: row `from` holds the `to`s in the order visited.
     */
-  private[core] def group(n: Int)(arcs: ((Int, Int) => Unit) => Unit): CsrGraph = {
+  private[repro] def group(n: Int)(arcs: ((Int, Int) => Unit) => Unit): CsrGraph = {
     val offsets = new Array[Int](n + 1)
     arcs((from, _) => offsets(from + 1) += 1)
     for (u <- 0 until n) offsets(u + 1) += offsets(u)

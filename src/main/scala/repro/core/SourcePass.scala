@@ -53,7 +53,7 @@ private[core] object SourcePass {
     */
   def onSpark[T: ClassTag, R](spark: SparkSession, dag: CsrGraph, k: Int)
       (part: (CliqueSearch, Sources) => T)(merge: RDD[T] => R): R = {
-    require(k >= 2, s"k must be >= 2, got $k")
+    require(k >= 3, s"k must be >= 3, got $k")
     val sc = spark.sparkContext
     val bc = sc.broadcast(dag)
     val ps = parts(sc.defaultParallelism)

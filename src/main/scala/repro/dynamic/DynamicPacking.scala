@@ -103,7 +103,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     val pool = b.result()
     val out = mutable.HashSet.empty[Cand]
     if (pool.length == k) return out // B = C, as N_F(C) is empty
-    search.forEachExtending(Array.emptyIntArray, pool, g.foreachNeighbor) { q =>
+    search.forEachExtending(Array.emptyIntArray, pool, g.neighbours) { q =>
       // the cliques come in lexicographic order, so q ascends
       var inHost = 0
       var j = 0
@@ -307,7 +307,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     }
     val pool = b.result()
     var found: Seq[Int] = null
-    search.forEachExtending(prefix, pool, g.foreachNeighbor) { q => found = q.toVector; true }
+    search.forEachExtending(prefix, pool, g.neighbours) { q => found = q.toVector; true }
     Option(found)
   }
 }

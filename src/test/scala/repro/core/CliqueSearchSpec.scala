@@ -39,7 +39,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     val dag = CsrGraph.orient(g, Orderings.byId(8))
     def choose(n: Int, k: Int): Long =
       (1 to k).foldLeft(1L)((acc, i) => acc * (n - i + 1) / i)
-    for (k <- 2 to 6)
+    for (k <- 3 to 6)
       assert(TestGraphs.tau(dag, k) == choose(8, k), s"k=$k")
   }
 
@@ -99,7 +99,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         val cand = (0 until n).filter(v => !prefix(v) && prefix.forall(g.hasEdge(_, v))).toArray
         val expected = all.filter(prefix.subsetOf).toSeq.map(c => (c -- prefix).toSeq.sorted).sorted
         val seen = ArrayBuffer.empty[Seq[Int]]
-        val stopped = search.forEachExtending(pre, cand, g.foreachNeighbor) { c =>
+        val stopped = search.forEachExtending(pre, cand, g.neighborsOf) { c =>
           assert(c.take(p).toSeq == pre.toSeq)
           seen += c.drop(p).toSeq
           false
@@ -108,7 +108,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         if (expected.nonEmpty) {
           val stopAt = 1 + rnd.nextInt(expected.size)
           var visits = 0
-          assert(search.forEachExtending(pre, cand, g.foreachNeighbor) { _ => visits += 1; visits == stopAt })
+          assert(search.forEachExtending(pre, cand, g.neighborsOf) { _ => visits += 1; visits == stopAt })
           assert(visits == stopAt, s"prefix=${pre.mkString(",")}")
         }
       }
@@ -142,7 +142,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     TestGraphs.fromEdges(n + 1, edges ++ (1 to n).map((0, _)))
   }
 
-  for (k <- 2 to 6) {
+  for (k <- 3 to 6) {
     test(s"pivot counts == brute force on random graphs, k=$k") {
       for (seed <- 0 until 6) {
         val g = TestGraphs.randomGraph(14 + 2 * seed, 0.3 + 0.1 * seed, 4100L + 10 * k + seed)
@@ -169,7 +169,7 @@ class CliqueSearchSpec extends AnyFunSuite {
       for (rank <- Seq(Orderings.byDegree(g), Array.tabulate(g.n)(u => g.n - 1 - u))) {
         val dag = CsrGraph.orient(g, rank)
         assert(dag.degree(0) == n)
-        for (k <- 2 to 5) {
+        for (k <- 3 to 5) {
           val counts = CliqueSearch.countPerNode(dag, k).toSeq
           assert(counts == histogram(g.n, CliqueSearch.listAll(dag, k)), s"n=$n k=$k")
           if (k <= 4) assert(counts == TestGraphs.bruteNodeScores(g, k).toSeq, s"n=$n k=$k")
@@ -206,7 +206,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     val edges = (for (u <- 0 until 5; v <- u + 1 until 5) yield (u, v)) ++
       Seq((5, 6), (6, 7), (8, 9), (8, 10), (8, 11))
     val g = TestGraphs.fromEdges(15, edges)
-    for (k <- 2 to 6; rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g))) {
+    for (k <- 3 to 6; rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g))) {
       val counts = CliqueSearch.countPerNode(CsrGraph.orient(g, rank), k)
       assert(counts.toSeq == TestGraphs.bruteNodeScores(g, k).toSeq, s"k=$k")
       assert((12 until 15).forall(counts(_) == 0), s"k=$k")
@@ -361,6 +361,25 @@ class CliqueSearchSpec extends AnyFunSuite {
     val b = new Cliques.Buffer(3)
     Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
     assert(b.length == 2 && b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
+    // across chunk ends: exactly one chunk, one more, two and one more
+    for (tau <- Seq(Cliques.Chunk, Cliques.Chunk + 1, 2 * Cliques.Chunk + 1)) {
+      val many = new Cliques.Buffer(2)
+      for (i <- 0 until tau) many.add(Array(i + 1, i))
+      assert(many.length == tau && many.nodes.toSeq == (0 until tau).flatMap(i => Seq(i, i + 1)), s"tau=$tau")
+    }
+  }
+
+  test("listAll over several Buffer chunks equals forEachFrom's cliques in source order") {
+    val g = GraphGen.community(900, 7000, 14, 0.85, seed = 61L).toCsr
+    val dag = CsrGraph.orient(g, Orderings.byDegree(g))
+    for (k <- 3 to 4) {
+      val search = new CliqueSearch(CsrGraph.upward(dag), k)
+      val expected = ArrayBuffer.empty[Int]
+      for (u <- 0 until g.n) search.forEachFrom(u, null)(c => expected ++= c.sorted)
+      val listed = CliqueSearch.listAll(dag, k)
+      assert(listed.length > 2 * Cliques.Chunk, s"k=$k")
+      assert(listed.nodes.toSeq == expected.toSeq, s"k=$k")
+    }
   }
 
   test("size check: τ·k over Int.MaxValue fails, naming τ and k") {

@@ -20,9 +20,9 @@ class SourcePassSpec extends SparkSpec {
     }
   }
 
-  test("onSpark rejects k < 2 with IllegalArgumentException on the driver") {
+  test("onSpark rejects k < 3 with IllegalArgumentException on the driver") {
     val dag = CsrGraph.orient(TestGraphs.fig2, Orderings.byId(9))
-    for (k <- Seq(1, 0, -3)) {
+    for (k <- Seq(2, 1, 0, -3)) {
       val scores = intercept[IllegalArgumentException](NodeScores.compute(spark, dag, k))
       assert(scores.getMessage.contains(s"got $k"))
       intercept[IllegalArgumentException](SparkCliqueLister.listAll(spark, dag, k))
