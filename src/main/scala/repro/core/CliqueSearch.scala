@@ -28,10 +28,11 @@ object PruneMode {
   * Every search runs on bit-parallel rows (San Segundo et al., Computers
   * & OR 2011) over a set S of nodes in ascending id order, a source's
   * valid out-list or a caller's pool: row i holds, as ⌈|S|/64⌉ words, the
-  * positions in S of the out-neighbours of S(i), and one builder, `fill`,
-  * sets them. The enumerating entry points share one recursion, `rec`,
-  * whose candidates at each level are the AND of the chosen nodes' rows;
-  * they differ only in the level-0 candidates, the prune limit and the
+  * positions in S of the out-neighbours of S(i), set through one position
+  * map (`place`) by `fill` for a source and `poolRow` for a pool. The
+  * enumerating entry points share one recursion, `rec`, whose candidates
+  * at each level are the AND of the chosen nodes' rows; they differ
+  * only in the level-0 candidates, the prune limit and the
   * leaf action. Per-node counts (`countPerNode`) come from `pivot`, which
   * counts the cliques of each source without visiting them, on the same
   * rows made undirected.
@@ -57,7 +58,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   private var words = 0
   private var rows: Array[Long] = null
   private var sets: Array[Long] = null
-  /** Node → its position in S while `fill` runs, -1 otherwise. */
+  /** Node → its position in S between `place` and `unplace`, -1 otherwise. */
   private var pos = new Array[Int](0)
 
   /** Node scores for the partial sums, or null when the search is unscored. */
@@ -79,38 +80,40 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     sets = new Array[Long]((math.max(d, k) + 1) * w)
   }
 
-  /** The row builder: make `members(0 until d)`, all ids below `bound`,
-    * the set S, and give row i the position of each node of S that is an
-    * out-neighbour of S(i) in the DAG or, for a pool (`neighbours` given),
-    * that comes after S(i) and is in `neighbours(S(i))`.
+  /** Make `members(0 until d)`, all ids below `bound`, the set S: clear
+    * its rows and map each node of S to its position in `pos`, which
+    * `unplace` undoes.
     */
-  private def fill(d: Int, bound: Int, neighbours: Int => Array[Int]): Unit = {
-    val w = (d + 63) >>> 6
-    words = w
-    Arrays.fill(rows, 0, d * w, 0L)
+  private def place(d: Int, bound: Int): Unit = {
+    words = (d + 63) >>> 6
+    Arrays.fill(rows, 0, d * words, 0L)
     if (pos.length < bound) pos = Array.fill(math.max(bound, 2 * pos.length))(-1)
     var i = 0
     while (i < d) { pos(members(i)) = i; i += 1 }
-    i = 0
-    while (i < d) {
-      val row = i * w
-      if (neighbours == null) {
-        var o = dag.offsets(members(i))
-        val end = dag.offsets(members(i) + 1)
-        while (o < end) { val j = pos(dag.adj(o)); if (j >= 0) rows(row + (j >>> 6)) |= 1L << j; o += 1 }
-      } else poolRow(i, neighbours(members(i)))
-      i += 1
-    }
-    i = 0
-    while (i < d) { pos(members(i)) = -1; i += 1 }
   }
 
-  /** Row i of a pool: the positions after i of the nodes of S in `ns`.
-    * Kept out of `fill`, so that `fill` stays under HotSpot's 325-byte
-    * limit for inlining a hot call (`FreqInlineSize`): with this loop
-    * inside, `fill` took 379 bytes and static-fl's `lp_s` read about 5%
-    * slower (two sets of 10 pairs on a 4-core VM).
+  private def unplace(d: Int): Unit = { var i = 0; while (i < d) { pos(members(i)) = -1; i += 1 } }
+
+  /** The row builder of a source: give row i of S the position of each
+    * node of S that is an out-neighbour of S(i) in the DAG. The pool
+    * searches build their rows apart (`poolRow`): once they had run,
+    * HotSpot compiled a shared builder too big to inline into `load`.
     */
+  private def fill(d: Int): Unit = {
+    place(d, dag.n)
+    val w = words
+    var i = 0
+    while (i < d) {
+      val row = i * w
+      var o = dag.offsets(members(i))
+      val end = dag.offsets(members(i) + 1)
+      while (o < end) { val j = pos(dag.adj(o)); if (j >= 0) rows(row + (j >>> 6)) |= 1L << j; o += 1 }
+      i += 1
+    }
+    unplace(d)
+  }
+
+  /** Row i of a pool: the position of each node of S in `ns` that comes after S(i). */
   private def poolRow(i: Int, ns: Array[Int]): Unit = {
     val row = i * words
     var o = 0
@@ -132,7 +135,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
       if (valid == null || valid(v)) { members(d) = v; d += 1 }
       o += 1
     }
-    if (d >= k - 1) fill(d, dag.n, null)
+    if (d >= k - 1) fill(d)
     d
   }
 
@@ -259,7 +262,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     var d = 0
     for (i <- pool.indices) if (d == 0 || members(d - 1) != members(i)) { members(d) = members(i); d += 1 }
     if (d < k - p) return false
-    fill(d, members(d - 1) + 1, neighbours)
+    place(d, members(d - 1) + 1)
+    for (i <- 0 until d) poolRow(i, neighbours(members(i)))
+    unplace(d)
     run(p, d, 0L, null, c => stop = f(c))
   }
 
