@@ -1,97 +1,67 @@
 package jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench.Tables
+import repro.bench.{BenchConfig, Tables}
 import repro.graphdata.Datasets
 
-/** spark-submit entrypoints, one per evaluation table, e.g.
+/** A spark-submit entrypoint, one per evaluation table, e.g.
   *
   *   spark-submit --class jobs.TableII repro.jar
   *
-  * Each prints the paper-style table computed by repro.bench.Tables.
+  * `main` starts the session, prints the paper-style table that `table`
+  * computes with repro.bench.Tables, and stops the session.
   */
-object Jobs {
-  def session(name: String): SparkSession = {
-    val s = SparkSession.builder
+abstract class Job(name: String) {
+  def table(spark: SparkSession): String
+
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
-}
-
-object TableI {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableI")
-    println(Tables.renderTableI(Tables.tableI(spark)))
+    spark.sparkContext.setLogLevel("WARN")
+    println(table(spark))
     spark.stop()
   }
+
+  protected def dynamicRows(spark: SparkSession): Seq[Tables.DynamicRow] =
+    for (spec <- Datasets.standins; k <- BenchConfig.ks) yield Tables.dynamicEval(spark, spec, k)
 }
 
-object TableII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableII")
+object TableI extends Job("tableI") {
+  def table(spark: SparkSession) = Tables.renderTableI(Tables.tableI(spark))
+}
+
+object TableII extends Job("tableII") {
+  def table(spark: SparkSession) = {
     val rows = Tables.evalSweep(spark)
-    println(Tables.renderTableII(rows))
-    println()
-    println("Fig. 6 companion (runtimes):")
-    println(Tables.renderRuntimes(rows))
-    spark.stop()
+    s"${Tables.renderTableII(rows)}\n\nFig. 6 companion (runtimes):\n${Tables.renderRuntimes(rows)}"
   }
 }
 
-object TableIII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableIII")
-    println(Tables.renderTableIII(Tables.evalSweep(spark)))
-    spark.stop()
-  }
+object TableIII extends Job("tableIII") {
+  def table(spark: SparkSession) = Tables.renderTableIII(Tables.evalSweep(spark))
 }
 
-object TableIV {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableIV")
-    println(Tables.renderTableIV(Tables.tableIV(spark)))
-    spark.stop()
-  }
+object TableIV extends Job("tableIV") {
+  def table(spark: SparkSession) = Tables.renderTableIV(Tables.tableIV(spark))
 }
 
-object TableV {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableV")
-    println(Tables.renderTableV(Tables.wsSweep(spark)))
-    spark.stop()
-  }
+object TableV extends Job("tableV") {
+  def table(spark: SparkSession) = Tables.renderTableV(Tables.wsSweep(spark))
 }
 
-object TableVI {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableVI")
-    println(Tables.renderTableVI(Tables.wsSweep(spark)))
-    spark.stop()
-  }
+object TableVI extends Job("tableVI") {
+  def table(spark: SparkSession) = Tables.renderTableVI(Tables.wsSweep(spark))
 }
 
-object TableVII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableVII")
-    val rows = for (spec <- Datasets.standins; k <- repro.bench.BenchConfig.ks)
-      yield Tables.dynamicEval(spark, spec, k)
-    println(Tables.renderTableVII(rows))
-    spark.stop()
-  }
+object TableVII extends Job("tableVII") {
+  def table(spark: SparkSession) = Tables.renderTableVII(dynamicRows(spark))
 }
 
-object TableVIII {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("tableVIII")
-    val rows = for (spec <- Datasets.standins; k <- repro.bench.BenchConfig.ks)
-      yield Tables.dynamicEval(spark, spec, k)
-    println(Tables.renderTableVIII(rows))
-    println()
-    println("Fig. 7 companion (update times):")
-    println(Tables.renderUpdateTimes(rows))
-    spark.stop()
+object TableVIII extends Job("tableVIII") {
+  def table(spark: SparkSession) = {
+    val rows = dynamicRows(spark)
+    s"${Tables.renderTableVIII(rows)}\n\nFig. 7 companion (update times):\n${Tables.renderUpdateTimes(rows)}"
   }
 }

@@ -9,9 +9,6 @@ final case class DisjointResult(k: Int, cliques: Vector[Array[Int]]) {
   /** |S| — the quality measure used throughout the evaluation. */
   def size: Int = cliques.size
 
-  /** All nodes covered by S. */
-  def coveredNodes: Set[Int] = cliques.iterator.flatten.toSet
-
   def cliqueSets: Vector[Set[Int]] = cliques.map(_.toSet)
 }
 

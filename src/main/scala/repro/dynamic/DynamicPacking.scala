@@ -8,9 +8,10 @@ import scala.collection.mutable
   * State:
   *  - `cliques`:   id → clique (the result set S)
   *  - `cliqueOf`:  node → owning clique id, or -1 for *free* nodes
-  *  - `candidates`: per-clique candidate index (Algorithm 5) — every
+  *  - `index`:    per-clique candidate index (Algorithm 5) — every
   *    k-clique whose nodes are free or belong to that one clique, with at
-  *    least one free and at least one clique node; no empty sets are kept
+  *    least one free and at least one clique node, as ascending node-id
+  *    arrays in lex order; no empty sets are kept
   *
   * Operations: `insertEdge` (Algorithm 6), `deleteEdge` (Algorithm 7),
   * both funnelling improvement attempts through `trySwap` (Algorithm 4).
@@ -32,8 +33,6 @@ import scala.collection.mutable
   */
 final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
-  type Cand = Vector[Int] // canonical ascending node ids
-
   /** Every host's candidate set stays below this size: `candidatesFor`
     * throws instead of truncating a set that reaches it.
     */
@@ -43,7 +42,13 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   val cliques = mutable.LinkedHashMap.empty[Int, Array[Int]]
   private var nextId = 0
 
-  val candidates = mutable.HashMap.empty[Int, mutable.HashSet[Cand]]
+  private[dynamic] val index = mutable.HashMap.empty[Int, Array[Array[Int]]]
+
+  /** `index` as sets of node-id vectors: a read-only view that builds a
+    * host's set each time it is read.
+    */
+  def candidates: collection.MapView[Int, collection.Set[Vector[Int]]] =
+    index.view.mapValues(_.iterator.map(_.toVector).toSet)
 
   /** Number of swap rounds performed (bench statistic). */
   var swapCount: Long = 0L
@@ -85,7 +90,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
   def size: Int = cliques.size
 
-  def indexSize: Long = candidates.valuesIterator.map(_.size.toLong).sum
+  def indexSize: Long = index.valuesIterator.map(_.length.toLong).sum
 
   // ------------------------------------------------------------------
   // Candidate computation (Algorithm 5 body, per host clique)
@@ -93,46 +98,48 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
   /** All candidate k-cliques of host `cid`: k-cliques over
     * B = C ∪ N_F(C) other than C itself, containing at least one free
-    * node and at least one node of C.
+    * node and at least one node of C. They come ascending, in lex order.
     */
-  def candidatesFor(cid: Int): mutable.HashSet[Cand] = {
+  def candidatesFor(cid: Int): Array[Array[Int]] = {
     val c = cliques(cid)
     val b = mutable.ArrayBuilder.make[Int]
     b ++= c
     for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) b += v }
     val pool = b.result()
-    val out = mutable.HashSet.empty[Cand]
-    if (pool.length == k) return out // B = C, as N_F(C) is empty
+    if (pool.length == k) return Array.empty // B = C, as N_F(C) is empty
+    val out = mutable.ArrayBuilder.make[Array[Int]]
     search.forEachExtending(Array.emptyIntArray, pool, g.neighbours) { q =>
-      // the cliques come in lexicographic order, so q ascends
+      // each clique comes once, in lexicographic order, so q ascends
       var inHost = 0
       var j = 0
       while (j < k) { if (cliqueOf(q(j)) == cid) inHost += 1; j += 1 }
       // ≥1 free node is implied by inHost < k; C itself is inHost == k
       if (inHost >= 1 && inHost < k) {
-        out += Vector.tabulate(k)(q(_))
-        if (out.size >= maxCandidatesPerHost)
+        out += q.clone()
+        if (out.length >= maxCandidatesPerHost)
           throw new IllegalStateException(
             s"host clique ${c.mkString(",")} reached $maxCandidatesPerHost candidates")
       }
       false
     }
-    out
+    out.result()
   }
 
-  /** Replace a host's candidate set; true when it gained a candidate. */
-  private def setCandidates(cid: Int, next: mutable.HashSet[Cand]): Boolean = {
-    val prev = candidates.get(cid)
-    if (next.isEmpty) candidates.remove(cid) else candidates(cid) = next
-    next.exists(c => !prev.exists(_.contains(c)))
+  /** Replace a host's candidate set; true when it gained a candidate. A
+    * host is rebuilt only after nodes are freed or an edge is inserted,
+    * and neither kills a candidate: the old set lies in the new one, so
+    * the host gained exactly when its set grew.
+    */
+  private def setCandidates(cid: Int, next: Array[Array[Int]]): Boolean = {
+    val prev = index.get(cid).fold(0)(_.length)
+    if (next.isEmpty) index.remove(cid) else index(cid) = next
+    next.length > prev
   }
 
   /** Drop the `dead` entries of the given hosts, and any set left empty. */
-  private def dropFrom(hosts: Iterable[Int])(dead: Cand => Boolean): Unit =
-    for (cid <- hosts; set <- candidates.get(cid)) {
-      set.filterInPlace(!dead(_))
-      if (set.isEmpty) candidates.remove(cid)
-    }
+  private def dropFrom(hosts: Iterable[Int])(dead: Array[Int] => Boolean): Unit =
+    for (cid <- hosts; set <- index.get(cid); live = set.filterNot(dead))
+      if (live.isEmpty) index.remove(cid) else index(cid) = live
 
   /** Host cliques owning a neighbour of `x` — exactly the cliques whose
     * free-neighbourhood (and hence candidate set) can involve `x`.
@@ -157,11 +164,11 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // ------------------------------------------------------------------
 
   /** Add an all-free clique to S; maintains the index. Returns its id. */
-  private def addClique(nodes: Seq[Int]): Int = {
-    require(nodes.size == k && nodes.forall(cliqueOf(_) == -1),
+  private def addClique(nodes: Array[Int]): Int = {
+    require(nodes.length == k && nodes.forall(cliqueOf(_) == -1),
       s"addClique needs $k free nodes, got ${nodes.mkString(",")}")
     val id = nextId; nextId += 1
-    val arr = nodes.toArray.sorted
+    val arr = nodes.sorted
     cliques(id) = arr
     arr.foreach(cliqueOf(_) = id)
     // the entries through its formerly free nodes sit in adjacent hosts
@@ -175,7 +182,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     */
   private def removeClique(cid: Int): Set[Int] = {
     val nodes = cliques.remove(cid).get
-    candidates.remove(cid)
+    index.remove(cid)
     nodes.foreach(cliqueOf(_) = -1)
     rebuildHosts(nodes.flatMap(hostsAdjacentTo))
   }
@@ -200,15 +207,14 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       inQueue -= cid
       // the index is exact, so a host with candidates is still in S and
       // every candidate is a live k-clique of free and host nodes
-      for (set <- candidates.get(cid) if set.size >= 2) {
-        val sdis = DynamicPacking.bestDisjointSubset(
-          set.toSeq.sorted(DynamicPacking.candOrdering), cliques(cid))
-        if (sdis.size > 1) {
+      for (cands <- index.get(cid) if cands.length >= 2) {
+        val sdis = DynamicPacking.bestDisjointSubset(cands, cliques(cid))
+        if (sdis.length > 1) {
           swapCount += 1
           removeClique(cid).foreach(push)
           for (cand <- sdis) {
             val id = addClique(cand)
-            if (candidates.contains(id)) push(id)
+            if (index.contains(id)) push(id)
           }
         }
       }
@@ -240,10 +246,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     // so the index and S are untouched (paper: "nothing needs done").
   }
 
-  private def rebuildAndSwap(hosts: Iterable[Int]): Unit = {
-    val gained = rebuildHosts(hosts)
-    if (gained.nonEmpty) trySwap(gained)
-  }
+  private def rebuildAndSwap(hosts: Iterable[Int]): Unit = trySwap(rebuildHosts(hosts))
 
   // ------------------------------------------------------------------
   // Algorithm 7: edge deletion
@@ -296,7 +299,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     * clique `prefix` (prefix first, then ascending ids), if any. Its pool
     * is the free nodes adjacent to all of `prefix`.
     */
-  private def firstFreeClique(prefix: Array[Int]): Option[Seq[Int]] = {
+  private def firstFreeClique(prefix: Array[Int]): Option[Array[Int]] = {
     val b = mutable.ArrayBuilder.make[Int]
     g.foreachNeighbor(prefix(0)) { w =>
       if (cliqueOf(w) == -1) {
@@ -306,26 +309,22 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       }
     }
     val pool = b.result()
-    var found: Seq[Int] = null
-    search.forEachExtending(prefix, pool, g.neighbours) { q => found = q.toVector; true }
+    var found: Array[Int] = null
+    search.forEachExtending(prefix, pool, g.neighbours) { q => found = q.clone(); true }
     Option(found)
   }
 }
 
 object DynamicPacking {
 
-  /** Lexicographic order of candidates: TrySwap's include-first order. */
-  val candOrdering: Ordering[Vector[Int]] = Ordering.Implicits.seqOrdering[Vector, Int]
-
-  /** A maximum disjoint subset of `cands`, every one of which contains at
+  /** A maximum disjoint subset of `cs`, every one of which contains at
     * least one node of the host clique `host`. Exact: include-first
     * search in input order, so ties go to the lexicographically smallest
     * list of input positions. Disjoint candidates cover distinct host
     * nodes, so a branch stops when its chosen count plus
     * min(candidates left, host nodes not yet covered) cannot beat the best.
     */
-  def bestDisjointSubset(cands: Seq[Vector[Int]], host: Array[Int]): Seq[Vector[Int]] = {
-    val cs = cands.toIndexedSeq
+  def bestDisjointSubset(cs: Array[Array[Int]], host: Array[Int]): Array[Array[Int]] = {
     val nc = cs.length
     val hostHits = cs.map { c =>
       val hits = c.count(host.contains)
@@ -345,6 +344,6 @@ object DynamicPacking {
       if (size > bestSize) { best = chosen; bestSize = size }
     }
     rec(0, Nil, 0, 0)
-    best.reverse.map(cs(_))
+    best.reverse.map(cs(_)).toArray
   }
 }

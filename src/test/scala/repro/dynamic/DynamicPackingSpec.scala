@@ -26,19 +26,28 @@ class DynamicPackingSpec extends AnyFunSuite {
   }
 
   /** Index parity: incremental candidate index == from-scratch Alg. 5
-    * (`candidatesFor`) == brute force, with no empty sets.
+    * (`candidatesFor`), entry by entry and in the same order, == brute
+    * force, with no empty sets. Each host's entries rise strictly in lex
+    * order, as TrySwap reads them unsorted, and the `candidates` view
+    * shows the same sets.
     */
   private def assertIndexParity(dp: DynamicPacking, ctx: String): Unit = {
     for (cid <- dp.cliques.keys) {
-      val scratch = dp.candidatesFor(cid)
-      val incr = dp.candidates.getOrElse(cid, mutable.HashSet.empty[Vector[Int]])
+      val stored = dp.index.getOrElse(cid, Array.empty[Array[Int]])
+      for (i <- 1 until stored.length)
+        assert(CliqueSearch.compareCanon(stored(i - 1), stored(i)) < 0,
+          s"$ctx: host $cid entries ${stored(i - 1).mkString(",")} and ${stored(i).mkString(",")} are not in strict lex order")
+      val incr = stored.toVector.map(_.toVector)
+      val scratch = dp.candidatesFor(cid).toVector.map(_.toVector)
       assert(incr == scratch,
         s"$ctx: index parity broken for clique $cid:\n incr=$incr\n scratch=$scratch")
       assert(scratch.toSet == bruteCandidates(dp, cid), s"$ctx: candidatesFor($cid) differs from brute force")
+      assert(dp.candidates.get(cid) == Option.when(incr.nonEmpty)(incr.toSet), s"$ctx: view of host $cid")
     }
     // no stale entries for removed cliques
-    for (cid <- dp.candidates.keys) assert(dp.cliques.contains(cid), s"$ctx: stale host $cid")
-    for ((cid, set) <- dp.candidates) assert(set.nonEmpty, s"$ctx: empty set kept for host $cid")
+    for (cid <- dp.index.keys) assert(dp.cliques.contains(cid), s"$ctx: stale host $cid")
+    for ((cid, set) <- dp.index) assert(set.nonEmpty, s"$ctx: empty set kept for host $cid")
+    assert(dp.candidates.size == dp.index.size, s"$ctx: view size")
   }
 
   /** S validity: every clique real & pairwise disjoint in the live graph. */
@@ -272,16 +281,16 @@ class DynamicPackingSpec extends AnyFunSuite {
   }
 
   test("bestDisjointSubset: exact on small candidate lists") {
-    val cands = Seq(
-      Vector(1, 2, 3), Vector(3, 4, 5), Vector(4, 5, 6), Vector(7, 8, 9))
+    val cands = Array(
+      Array(1, 2, 3), Array(3, 4, 5), Array(4, 5, 6), Array(7, 8, 9))
     val best = DynamicPacking.bestDisjointSubset(cands, Array(3, 6, 9))
-    assert(best.size == 3) // {1,2,3},{4,5,6},{7,8,9}
-    assert(best.toSet == Set(Vector(1, 2, 3), Vector(4, 5, 6), Vector(7, 8, 9)))
+    assert(best.length == 3) // {1,2,3},{4,5,6},{7,8,9}
+    assert(best.map(_.toVector).toSet == Set(Vector(1, 2, 3), Vector(4, 5, 6), Vector(7, 8, 9)))
   }
 
   test("bestDisjointSubset: empty and singleton inputs") {
-    assert(DynamicPacking.bestDisjointSubset(Seq.empty, Array(1, 2, 3)).isEmpty)
-    assert(DynamicPacking.bestDisjointSubset(Seq(Vector(1, 2, 3)), Array(3, 4, 5)).size == 1)
+    assert(DynamicPacking.bestDisjointSubset(Array.empty, Array(1, 2, 3)).isEmpty)
+    assert(DynamicPacking.bestDisjointSubset(Array(Array(1, 2, 3)), Array(3, 4, 5)).length == 1)
   }
 
   /** Brute force: the first of the maximum-size disjoint subsets (at most
@@ -312,8 +321,8 @@ class DynamicPackingSpec extends AnyFunSuite {
           cands += (rnd.shuffle(host).take(inHost) ++ rnd.shuffle(others).take(k - inHost)).sorted
         }
         val cs = cands.toIndexedSeq
-        val got = DynamicPacking.bestDisjointSubset(cs, host.toArray)
-        assert(got == bruteBestDisjoint(cs, k).map(cs), s"host=$host cands=$cs")
+        val got = DynamicPacking.bestDisjointSubset(cs.map(_.toArray).toArray, host.toArray)
+        assert(got.map(_.toVector).toSeq == bruteBestDisjoint(cs, k).map(cs), s"host=$host cands=$cs")
       }
     }
   }
