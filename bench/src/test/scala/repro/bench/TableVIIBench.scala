@@ -1,16 +1,13 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.graphdata.Datasets
 
 /** Tables VII & VIII and the Fig. 7 update times (one shared dynamic
   * sweep: index build, then deletion / insertion / mixed workloads).
   */
 class TableVIIBench extends SparkSpec {
 
-  private lazy val rows =
-    for (spec <- Datasets.standins; k <- BenchConfig.ks)
-      yield Tables.dynamicEval(spark, spec, k)
+  private lazy val rows = Tables.dynamicSweep(spark)
 
   test("Table VII: indexing time and index size") {
     BenchOut.save("tableVII", Tables.renderTableVII(rows))

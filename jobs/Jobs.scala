@@ -1,8 +1,7 @@
 package jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench.{BenchConfig, Tables}
-import repro.graphdata.Datasets
+import repro.bench.Tables
 
 /** A spark-submit entrypoint, one per evaluation table, e.g.
   *
@@ -23,9 +22,6 @@ abstract class Job(name: String) {
     println(table(spark))
     spark.stop()
   }
-
-  protected def dynamicRows(spark: SparkSession): Seq[Tables.DynamicRow] =
-    for (spec <- Datasets.standins; k <- BenchConfig.ks) yield Tables.dynamicEval(spark, spec, k)
 }
 
 object TableI extends Job("tableI") {
@@ -56,12 +52,12 @@ object TableVI extends Job("tableVI") {
 }
 
 object TableVII extends Job("tableVII") {
-  def table(spark: SparkSession) = Tables.renderTableVII(dynamicRows(spark))
+  def table(spark: SparkSession) = Tables.renderTableVII(Tables.dynamicSweep(spark))
 }
 
 object TableVIII extends Job("tableVIII") {
   def table(spark: SparkSession) = {
-    val rows = dynamicRows(spark)
+    val rows = Tables.dynamicSweep(spark)
     s"${Tables.renderTableVIII(rows)}\n\nFig. 7 companion (update times):\n${Tables.renderUpdateTimes(rows)}"
   }
 }

@@ -97,7 +97,7 @@ object Tables {
   // ------------------------------------------------------------------
 
   final case class SmallRow(name: String, n: Int, m: Long, k: Int,
-                            lp: Int, opt: String, errorRatio: String)
+                            lp: Int, opt: AlgoCell, errorRatio: String)
 
   def tableIV(spark: SparkSession,
               specs: Seq[Datasets.Spec] = Datasets.small): Seq[SmallRow] =
@@ -110,15 +110,15 @@ object Tables {
         if (opt.status != "ok") "-"
         else if (opt.size == 0) "0%"
         else f"${(opt.size - lp.size) * 100.0 / opt.size}%.2f%%"
-      SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, opt.sizeStr, er)
+      SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, opt, er)
     }
 
   def renderTableIV(rows: Seq[SmallRow]): String =
     Runner.formatTable(
       Seq("Dataset", "n", "m", "k", "LP", "OPT", "ER"),
       rows.map(r => Seq(r.name, r.n.toString, r.m.toString, r.k.toString,
-                        r.lp.toString, r.opt, r.errorRatio))) +
-      "\n" + Runner.optOutcomes(rows.map(r => if (r.opt == "OOT" || r.opt == "OOM") r.opt else "ok"))
+                        r.lp.toString, r.opt.sizeStr, r.errorRatio))) +
+      "\n" + Runner.optOutcomes(rows.map(_.opt.status))
 
   // ------------------------------------------------------------------
   // Tables V & VI — Watts–Strogatz synthetic sweep
@@ -181,6 +181,10 @@ object Tables {
                               del: OpTimes, ins: OpTimes, mix: OpTimes,
                               afterDelDelta: Int, afterInsDelta: Int, afterMixDelta: Int,
                               swapCount: Long)
+
+  /** Every stand-in × k through `dynamicEval` (Tables VII, VIII, Fig. 7). */
+  def dynamicSweep(spark: SparkSession): Seq[DynamicRow] =
+    for (spec <- Datasets.standins; k <- BenchConfig.ks) yield dynamicEval(spark, spec, k)
 
   /** Run the three update workloads of §VI-E on one dataset and k.
     *

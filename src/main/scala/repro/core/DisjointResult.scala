@@ -8,34 +8,30 @@ package repro.core
 final case class DisjointResult(k: Int, cliques: Vector[Array[Int]]) {
   /** |S| — the quality measure used throughout the evaluation. */
   def size: Int = cliques.size
-
-  def cliqueSets: Vector[Set[Int]] = cliques.map(_.toSet)
-}
-
-object DisjointResult {
-  def empty(k: Int): DisjointResult = DisjointResult(k, Vector.empty)
 }
 
 /** Checkers used by tests and benches: "it ran" is not "it is correct". */
 object Validation {
 
-  /** Every clique has k distinct pairwise-adjacent nodes; cliques are
-    * pairwise disjoint. Returns an error description or None.
+  def validate(g: CsrGraph, result: DisjointResult): Option[String] = validate(g.n, g.hasEdge, result)
+
+  /** Every clique has k distinct pairwise-adjacent nodes in [0, n);
+    * cliques are pairwise disjoint. Returns an error description or None.
     */
-  def validate(g: CsrGraph, result: DisjointResult): Option[String] = {
-    val seen = scala.collection.mutable.HashSet.empty[Int]
+  def validate(n: Int, hasEdge: (Int, Int) => Boolean, result: DisjointResult): Option[String] = {
+    val owner = Array.fill(n)(-1) // the index of the clique holding each node
     for ((c, idx) <- result.cliques.zipWithIndex) {
       if (c.length != result.k)
         return Some(s"clique #$idx has ${c.length} nodes, expected k=${result.k}")
-      if (c.distinct.length != c.length)
-        return Some(s"clique #$idx ${c.mkString(",")} has duplicate nodes")
-      for (i <- c.indices; j <- (i + 1) until c.length)
-        if (!g.hasEdge(c(i), c(j)))
-          return Some(s"clique #$idx missing edge (${c(i)},${c(j)})")
       for (v <- c) {
-        if (seen.contains(v)) return Some(s"node $v appears in two cliques")
-        seen += v
+        if (v < 0 || v >= n) return Some(s"clique #$idx node $v is outside [0, $n)")
+        if (owner(v) == idx) return Some(s"clique #$idx ${c.mkString(",")} has duplicate nodes")
+        if (owner(v) != -1) return Some(s"node $v appears in two cliques")
+        owner(v) = idx
       }
+      for (i <- c.indices; j <- (i + 1) until c.length)
+        if (!hasEdge(c(i), c(j)))
+          return Some(s"clique #$idx missing edge (${c(i)},${c(j)})")
     }
     None
   }

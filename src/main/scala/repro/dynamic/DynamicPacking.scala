@@ -1,12 +1,13 @@
 package repro.dynamic
 
-import repro.core.{CliqueSearch, DisjointResult}
+import java.util.Arrays
+import repro.core.{CliqueSearch, DisjointResult, Validation}
 import scala.collection.mutable
 
 /** Section V: dynamic maintenance of a near-optimal disjoint k-clique set.
   *
   * State:
-  *  - `cliques`:   id → clique (the result set S)
+  *  - `cliques`:   id → clique, node ids ascending (the result set S)
   *  - `cliqueOf`:  node → owning clique id, or -1 for *free* nodes
   *  - `index`:    per-clique candidate index (Algorithm 5) — every
   *    k-clique whose nodes are free or belong to that one clique, with at
@@ -57,27 +58,17 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // Initialisation
   // ------------------------------------------------------------------
 
-  /** Install a statically computed S (e.g. from Lightweight) and build
-    * the candidate index (Algorithm 5). Returns the index build time in
-    * nanoseconds (Table VII). Throws `IllegalArgumentException` when a
-    * clique of S is not k distinct, free, pairwise adjacent nodes of `g`.
+  /** Install a statically computed S (e.g. from Lightweight) into an
+    * empty packing and build the candidate index (Algorithm 5). Returns
+    * the index build time in nanoseconds (Table VII). Throws
+    * `IllegalArgumentException` when `Validation.validate` rejects S.
     */
   def initialize(result: DisjointResult): Long = {
-    require(result.k == k, s"S holds ${result.k}-cliques, the packing k=$k")
+    require(result.k == k && cliques.isEmpty, s"S of ${result.k}-cliques into a k=$k packing holding $size")
+    Validation.validate(g.n, g.hasEdge, result).foreach(err => throw new IllegalArgumentException(err))
     for (c <- result.cliques) {
-      def bad(why: String) = s"clique ${c.mkString("(", ",", ")")}: $why"
-      require(c.length == k, bad(s"${c.length} nodes, not $k"))
-      for (i <- 0 until k) {
-        val x = c(i)
-        require(x >= 0 && x < g.n, bad(s"node $x is outside [0, ${g.n})"))
-        require(cliqueOf(x) == -1, bad(s"node $x is already owned"))
-        for (j <- 0 until i) {
-          require(c(j) != x, bad(s"node $x appears twice"))
-          require(g.hasEdge(c(j), x), bad(s"nodes ${c(j)} and $x are not adjacent"))
-        }
-      }
       val id = nextId; nextId += 1
-      cliques(id) = c.clone()
+      cliques(id) = c.sorted
       c.foreach(cliqueOf(_) = id)
     }
     val t0 = System.nanoTime()
@@ -102,9 +93,9 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     */
   def candidatesFor(cid: Int): Array[Array[Int]] = {
     val c = cliques(cid)
-    val b = mutable.ArrayBuilder.make[Int]
-    b ++= c
-    for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) b += v }
+    val b = new mutable.ArrayBuilder.ofInt
+    b.addAll(c)
+    for (u <- c) g.foreachNeighbor(u) { v => if (cliqueOf(v) == -1) b.addOne(v) }
     val pool = b.result()
     if (pool.length == k) return Array.empty // B = C, as N_F(C) is empty
     val out = mutable.ArrayBuilder.make[Array[Int]]
@@ -137,27 +128,27 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   }
 
   /** Drop the `dead` entries of the given hosts, and any set left empty. */
-  private def dropFrom(hosts: Iterable[Int])(dead: Array[Int] => Boolean): Unit =
+  private def dropFrom(hosts: Array[Int])(dead: Array[Int] => Boolean): Unit =
     for (cid <- hosts; set <- index.get(cid); live = set.filterNot(dead))
       if (live.isEmpty) index.remove(cid) else index(cid) = live
 
-  /** Host cliques owning a neighbour of `x` — exactly the cliques whose
-    * free-neighbourhood (and hence candidate set) can involve `x`.
+  /** The cliques owning a neighbour of a node of `xs`, ascending, each
+    * once — exactly the hosts whose free-neighbourhood (and hence
+    * candidate set) can involve those nodes. TrySwap queues the hosts
+    * that gain in this order.
     */
-  private def hostsAdjacentTo(x: Int): Set[Int] = {
-    val s = mutable.HashSet.empty[Int]
-    g.foreachNeighbor(x) { y => val h = cliqueOf(y); if (h != -1) s += h }
-    s.toSet
+  private def hostsAround(xs: Array[Int]): Array[Int] = {
+    val b = new mutable.ArrayBuilder.ofInt
+    for (x <- xs) g.foreachNeighbor(x) { y => if (cliqueOf(y) != -1) b.addOne(cliqueOf(y)) }
+    val hs = b.result().sorted
+    var m = 0
+    for (h <- hs if m == 0 || hs(m - 1) != h) { hs(m) = h; m += 1 }
+    hs.take(m)
   }
 
-  /** Rebuild the given hosts from scratch; returns hosts that gained. */
-  private def rebuildHosts(hosts: Iterable[Int]): Set[Int] = {
-    val gained = mutable.TreeSet.empty[Int]
-    for (cid <- hosts.toSeq.distinct.sorted if cliques.contains(cid)) {
-      if (setCandidates(cid, candidatesFor(cid))) gained += cid
-    }
-    gained.toSet
-  }
+  /** Rebuild the given live hosts; returns those that gained, in order. */
+  private def rebuildHosts(hosts: Array[Int]): Array[Int] =
+    hosts.filter(cid => setCandidates(cid, candidatesFor(cid)))
 
   // ------------------------------------------------------------------
   // S mutations
@@ -172,34 +163,34 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     cliques(id) = arr
     arr.foreach(cliqueOf(_) = id)
     // the entries through its formerly free nodes sit in adjacent hosts
-    dropFrom(arr.flatMap(hostsAdjacentTo).toSet)(_.exists(cliqueOf(_) == id))
+    dropFrom(hostsAround(arr))(_.exists(cliqueOf(_) == id))
     setCandidates(id, candidatesFor(id))
     id
   }
 
   /** Remove a clique from S, freeing its nodes; maintains the index.
-    * Returns the hosts that gained candidates from the freed nodes.
+    * Returns the hosts that gained from the freed nodes, ascending.
     */
-  private def removeClique(cid: Int): Set[Int] = {
+  private[dynamic] def removeClique(cid: Int): Array[Int] = {
     val nodes = cliques.remove(cid).get
     index.remove(cid)
     nodes.foreach(cliqueOf(_) = -1)
-    rebuildHosts(nodes.flatMap(hostsAdjacentTo))
+    rebuildHosts(hostsAround(nodes))
   }
 
   // ------------------------------------------------------------------
   // Algorithm 4: TrySwap
   // ------------------------------------------------------------------
 
-  /** Pop hosts from a FIFO queue; when ≥2 disjoint candidates of a host
-    * exist, swap the host out for them (strictly growing S). Newly added
-    * cliques and hosts gaining candidates re-enter the queue.
+  /** Pop hosts from a FIFO queue, the ascending `initial` first; when ≥2
+    * disjoint candidates of a host exist, swap the host out for them
+    * (strictly growing S). New cliques and gaining hosts re-enter it.
     */
-  def trySwap(initial: Iterable[Int]): Unit = {
+  private def trySwap(initial: Array[Int]): Unit = {
     val q = mutable.Queue.empty[Int]
     val inQueue = mutable.HashSet.empty[Int]
     def push(cid: Int): Unit = if (!inQueue.contains(cid)) { q += cid; inQueue += cid }
-    initial.toSeq.distinct.sorted.foreach(push)
+    initial.foreach(push)
     // Terminates: only a swap pushes, every swap grows |S| (which is at
     // most n/k), and every pop without a swap shrinks the queue.
     while (q.nonEmpty) {
@@ -237,16 +228,17 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       case None =>
         // the new edge may create candidates for hosts seeing both
         // u and v as free neighbours
-        rebuildAndSwap(hostsAdjacentTo(u) intersect hostsAdjacentTo(v))
+        val hv = hostsAround(Array(v))
+        rebuildAndSwap(hostsAround(Array(u)).filter(Arrays.binarySearch(hv, _) >= 0))
     }
     // one node free, the other owned by h: new candidates must contain
     // ⟨u,v⟩, hence their non-free nodes lie in h — only h's set changes.
-    else if (cu == -1 || cv == -1) rebuildAndSwap(Seq(math.max(cu, cv)))
+    else if (cu == -1 || cv == -1) rebuildAndSwap(Array(math.max(cu, cv)))
     // both nodes already owned: a candidate may not span two cliques,
     // so the index and S are untouched (paper: "nothing needs done").
   }
 
-  private def rebuildAndSwap(hosts: Iterable[Int]): Unit = trySwap(rebuildHosts(hosts))
+  private def rebuildAndSwap(hosts: Array[Int]): Unit = trySwap(rebuildHosts(hosts))
 
   // ------------------------------------------------------------------
   // Algorithm 7: edge deletion
@@ -258,32 +250,32 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     val cu = cliqueOf(u)
     if (cu != -1 && cu == cliqueOf(v)) {
       // the deleted edge splits a clique of S
-      val freed = cliques(cu).clone()
-      val gained = removeClique(cu)
+      val freed = cliques(cu)
       // re-cover the freed region with any fully-free cliques, then give
       // hosts with fresh candidates a chance to swap (paper: push C and
       // TrySwap — recovery of C's area plus swaps on its neighbours).
-      val recovered = recoverFree(freed.toSeq)
-      trySwap(gained ++ recovered)
+      // A recovered clique's id is newer than every host's, so the
+      // queue's input still ascends.
+      trySwap(removeClique(cu) ++ recoverFree(freed))
     } else {
       // S is intact: exactly the candidates containing ⟨u,v⟩ die, and a
       // deletion creates none, so nothing is pushed. Such a candidate's
       // host owns u, v or a common neighbour of both. An owned endpoint
       // names the host, and endpoints owned by two cliques share none.
       val cv = cliqueOf(v)
-      val hosts = mutable.HashSet.empty[Int]
+      val hosts = new mutable.ArrayBuilder.ofInt
       if (cu == -1 && cv == -1)
-        g.foreachNeighbor(u) { w => if (g.hasEdge(v, w)) hosts += cliqueOf(w) }
-      else if (cu == -1 || cv == -1) hosts += math.max(cu, cv)
-      dropFrom(hosts)(c => c.contains(u) && c.contains(v))
+        g.foreachNeighbor(u) { w => if (g.hasEdge(v, w)) hosts.addOne(cliqueOf(w)) }
+      else if (cu == -1 || cv == -1) hosts.addOne(math.max(cu, cv))
+      dropFrom(hosts.result())(c => Arrays.binarySearch(c, u) >= 0 && Arrays.binarySearch(c, v) >= 0)
     }
   }
 
-  /** For each seed node still free, in ascending order, add the first
-    * all-free k-clique containing it, if any. Returns the ids added.
+  /** For each ascending seed node still free, add the first all-free
+    * k-clique containing it, if any. Returns the ids added.
     */
-  private def recoverFree(seeds: Seq[Int]): Seq[Int] =
-    seeds.sorted.flatMap(x => if (cliqueOf(x) != -1) None else firstFreeClique(Array(x)).map(addClique))
+  private def recoverFree(seeds: Array[Int]): Array[Int] =
+    seeds.flatMap(x => if (cliqueOf(x) != -1) None else firstFreeClique(Array(x)).map(addClique))
 
   private def checkEdge(u: Int, v: Int): Unit =
     require(u >= 0 && u < g.n && v >= 0 && v < g.n, s"edge ($u,$v) has a node outside [0, ${g.n})")
@@ -300,12 +292,12 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
     * is the free nodes adjacent to all of `prefix`.
     */
   private def firstFreeClique(prefix: Array[Int]): Option[Array[Int]] = {
-    val b = mutable.ArrayBuilder.make[Int]
+    val b = new mutable.ArrayBuilder.ofInt
     g.foreachNeighbor(prefix(0)) { w =>
       if (cliqueOf(w) == -1) {
         var i = 1 // hasEdge is false for w itself, so prefix nodes drop out
         while (i < prefix.length && g.hasEdge(prefix(i), w)) i += 1
-        if (i == prefix.length) b += w
+        if (i == prefix.length) b.addOne(w)
       }
     }
     val pool = b.result()
@@ -317,8 +309,8 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
 object DynamicPacking {
 
-  /** A maximum disjoint subset of `cs`, every one of which contains at
-    * least one node of the host clique `host`. Exact: include-first
+  /** A maximum disjoint subset of `cs`, ascending id arrays that each hold
+    * a node of the ascending host clique `host`. Exact: include-first
     * search in input order, so ties go to the lexicographically smallest
     * list of input positions. Disjoint candidates cover distinct host
     * nodes, so a branch stops when its chosen count plus
@@ -327,7 +319,7 @@ object DynamicPacking {
   def bestDisjointSubset(cs: Array[Array[Int]], host: Array[Int]): Array[Array[Int]] = {
     val nc = cs.length
     val hostHits = cs.map { c =>
-      val hits = c.count(host.contains)
+      val hits = common(c, host)
       require(hits > 0, s"candidate ${c.mkString(",")} has no node of host ${host.mkString(",")}")
       hits
     }
@@ -337,7 +329,7 @@ object DynamicPacking {
     def rec(from: Int, chosen: List[Int], size: Int, covered: Int): Unit = {
       var i = from
       while (i < nc && size + math.min(nc - i, host.length - covered) > bestSize) {
-        if (chosen.forall(c => !cs(c).exists(cs(i).contains)))
+        if (chosen.forall(c => common(cs(c), cs(i)) == 0))
           rec(i + 1, i :: chosen, size + 1, covered + hostHits(i))
         i += 1
       }
@@ -345,5 +337,13 @@ object DynamicPacking {
     }
     rec(0, Nil, 0, 0)
     best.reverse.map(cs(_)).toArray
+  }
+
+  /** The number of ids two ascending arrays share, by one merge. */
+  private def common(a: Array[Int], b: Array[Int]): Int = {
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length && j < b.length)
+      if (a(i) < b(j)) i += 1 else if (a(i) > b(j)) j += 1 else { n += 1; i += 1; j += 1 }
+    n
   }
 }

@@ -44,7 +44,7 @@ class AlgorithmsSpec extends AnyFunSuite {
     val g = TestGraphs.randomGraph(40, 0.3, 1)
     val a = BasicFramework.run(g, 3)
     val b = BasicFramework.run(g, 3)
-    assert(a.cliqueSets == b.cliqueSets)
+    assert(a.cliques.map(_.toSet) == b.cliques.map(_.toSet))
   }
 
   for (k <- 3 to 5; seed <- 0 until 5) {
@@ -168,7 +168,7 @@ class AlgorithmsSpec extends AnyFunSuite {
     val listed = CliqueSearch.listAll(CsrGraph.orient(g, Orderings.byId(g.n)), 3)
     assert(listed.length == 0)
     assert(CliqueScoreGreedy.select(g.n, 3, listed, new Array[Long](g.n)).size == 0)
-    assert(TestGraphs.gc(g, 3, nodeScores(g, 3)) == (DisjointResult.empty(3), 0L))
+    assert(TestGraphs.gc(g, 3, nodeScores(g, 3)) == (DisjointResult(3, Vector.empty), 0L))
   }
 
   test("GC select rejects a negative node score") {
@@ -241,7 +241,7 @@ class AlgorithmsSpec extends AnyFunSuite {
     val (gc, _) = TestGraphs.gc(TestGraphs.fig2, 3, scores)
     for (mode <- Seq(PruneMode.NoPrune, PruneMode.Strict)) {
       val (lw, _) = Lightweight.run(TestGraphs.fig2, 3, scores, mode)
-      assert(lw.cliqueSets == gc.cliqueSets, s"mode=$mode")
+      assert(lw.cliques.map(_.toSet) == gc.cliques.map(_.toSet), s"mode=$mode")
     }
     assert(gc.size == 3)
   }
@@ -253,8 +253,8 @@ class AlgorithmsSpec extends AnyFunSuite {
       val (gc, _) = TestGraphs.gc(g, k, scores)
       val (l, _) = Lightweight.run(g, k, scores, PruneMode.NoPrune)
       val (ls, _) = Lightweight.run(g, k, scores, PruneMode.Strict)
-      assert(l.cliqueSets == gc.cliqueSets, "NoPrune != GC")
-      assert(ls.cliqueSets == gc.cliqueSets, "Strict != GC")
+      assert(l.cliques.map(_.toSet) == gc.cliques.map(_.toSet), "NoPrune != GC")
+      assert(ls.cliques.map(_.toSet) == gc.cliques.map(_.toSet), "Strict != GC")
     }
   }
 

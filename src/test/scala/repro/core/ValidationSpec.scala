@@ -27,6 +27,13 @@ class ValidationSpec extends AnyFunSuite {
     assert(Validation.validate(g, r).exists(_.contains("missing edge")))
   }
 
+  test("validate rejects a node outside [0, n)") {
+    for (x <- Seq(-1, g.n)) {
+      val r = DisjointResult(3, Vector(Array(0, 2, x)))
+      assert(Validation.validate(g, r).exists(_.contains(s"node $x is outside [0, ${g.n})")), s"node $x")
+    }
+  }
+
   test("validate rejects overlapping cliques") {
     val r = DisjointResult(3, Vector(Array(0, 2, 5), Array(2, 4, 5)))
     assert(Validation.validate(g, r).exists(_.contains("two cliques")))
@@ -47,8 +54,8 @@ class ValidationSpec extends AnyFunSuite {
   }
 
   test("empty result is maximal iff the graph has no k-clique") {
-    assert(Validation.isMaximal(TestGraphs.cycle(8), DisjointResult.empty(3)))
-    assert(!Validation.isMaximal(g, DisjointResult.empty(3)))
+    assert(Validation.isMaximal(TestGraphs.cycle(8), DisjointResult(3, Vector.empty)))
+    assert(!Validation.isMaximal(g, DisjointResult(3, Vector.empty)))
   }
 
   test("size counts the cliques") {

@@ -94,7 +94,7 @@ class DynamicPackingSpec extends AnyFunSuite {
     assertValid(dp, "fig5-insert")
     assertIndexParity(dp, "fig5-insert")
     assert(dp.size == 3)
-    assert(dp.result.cliqueSets.toSet ==
+    assert(dp.result.cliques.map(_.toSet).toSet ==
            Set(Set(0, 1, 2), Set(4, 5, 6), Set(8, 9, 10)))
     assert(dp.swapCount == 1)
   }
@@ -106,16 +106,16 @@ class DynamicPackingSpec extends AnyFunSuite {
     assertValid(dp, "fig5-delete")
     assertIndexParity(dp, "fig5-delete")
     // paper: S = {(v1,v2,v3), (v9,v10,v11)} — maximum in G1
-    assert(dp.result.cliqueSets.toSet == Set(Set(0, 1, 2), Set(8, 9, 10)))
+    assert(dp.result.cliques.map(_.toSet).toSet == Set(Set(0, 1, 2), Set(8, 9, 10)))
   }
 
   // ------------------------------------------------ insertion cases
 
   test("insert between two owned nodes of different cliques is a no-op") {
     val dp = fig5Packing()
-    val before = dp.result.cliqueSets
+    val before = dp.result.cliques.map(_.toSet)
     dp.insertEdge(2, 8) // v3 (in C1) — v9 (in C2)
-    assert(dp.result.cliqueSets == before)
+    assert(dp.result.cliques.map(_.toSet) == before)
     assertIndexParity(dp, "owned-owned")
   }
 
@@ -128,7 +128,7 @@ class DynamicPackingSpec extends AnyFunSuite {
     dp.insertEdge(5, 6)  // completes triangle (5,6,7), all free
     assertValid(dp, "free-free-2")
     assertIndexParity(dp, "free-free")
-    assert(dp.result.cliqueSets.contains(Set(5, 6, 7)))
+    assert(dp.result.cliques.map(_.toSet).contains(Set(5, 6, 7)))
     assert(dp.size == 3)
   }
 
@@ -141,6 +141,19 @@ class DynamicPackingSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------------- deletion cases
+
+  test("a removed clique hands the hosts that gained back to TrySwap in ascending id order") {
+    // clique 0 is (0,1,2) and clique i is (3i,3i+1,3i+2); for i = 1..8
+    // node 3i sees 0 and 1, so once clique 0 is gone host i gains the
+    // candidate (0,1,3i); host 9 sees only node 2 and gains nothing
+    val triangles = (0 to 9).flatMap(i => Seq((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2)))
+    val spokes = (1 to 8).flatMap(i => Seq((0, 3 * i), (1, 3 * i))) :+ ((2, 27))
+    val dp = new DynamicPacking(DynamicGraph.fromCsr(TestGraphs.fromEdges(30, triangles ++ spokes)), 3)
+    dp.initialize(DisjointResult(3, (0 to 9).map(i => Array(3 * i, 3 * i + 1, 3 * i + 2)).toVector))
+    assert(dp.indexSize == 0)
+    assert(dp.removeClique(0).toSeq == (1 to 8))
+    assertIndexParity(dp, "after removing clique 0")
+  }
 
   test("delete a non-clique edge only prunes candidates") {
     // each deletion kills candidate (v1,v2,v3) of host C1, whose node v3
@@ -160,7 +173,7 @@ class DynamicPackingSpec extends AnyFunSuite {
     dp.deleteEdge(2, 3) // split C1=(v3,v4,v5): recover finds (v1,v2,v3)
     assertValid(dp, "clique-del")
     assertIndexParity(dp, "clique-del")
-    assert(dp.result.cliqueSets.toSet == Set(Set(0, 1, 2), Set(8, 9, 10)))
+    assert(dp.result.cliques.map(_.toSet).toSet == Set(Set(0, 1, 2), Set(8, 9, 10)))
   }
 
   test("delete then reinsert restores a coverable region") {
