@@ -1,29 +1,30 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.graphdata.Datasets
 
 /** Table IV — LP vs the exact solution on the six small graphs. */
 class TableIVBench extends SparkSpec {
 
   test("Table IV: LP vs OPT with error ratio") {
-    val rows = Tables.tableIV(spark)
+    val rows = Tables.evalSweep(spark, Datasets.small)
     BenchOut.save("tableIV", Tables.renderTableIV(rows))
 
     for (r <- rows if r.opt.status == "ok") {
       val opt = r.opt.size
       // LP never exceeds the optimum and is a k-approximation
-      assert(r.lp <= opt, s"${r.name} k=${r.k}: LP=${r.lp} > OPT=$opt")
-      assert(r.lp * r.k >= opt, s"${r.name} k=${r.k}: approximation bound broken")
+      assert(r.lp.size <= opt, s"${r.dataset} k=${r.k}: LP=${r.lp.size} > OPT=$opt")
+      assert(r.lp.size * r.k >= opt, s"${r.dataset} k=${r.k}: approximation bound broken")
       // paper: error ratio at most 8%; allow a slightly wider band on the
       // synthetic stand-ins
       if (opt > 0)
-        assert((opt - r.lp).toDouble / opt <= 0.25,
-          s"${r.name} k=${r.k}: ER too large (LP=${r.lp}, OPT=$opt)")
+        assert((opt - r.lp.size).toDouble / opt <= 0.25,
+          s"${r.dataset} k=${r.k}: ER too large (LP=${r.lp.size}, OPT=$opt)")
     }
     // OPT is optimal on every cell the paper's OPT solved; the paper is
     // OOT only on Lizard k=3, Football k=3 and Hamsterster k=3/4
     val paperUnsolved = Set(("Lizard", 3), ("Football", 3), ("Hamsterster", 3), ("Hamsterster", 4))
-    for (r <- rows if !paperUnsolved((r.name, r.k)))
-      assert(r.opt.status == "ok", s"${r.name} k=${r.k}: OPT ${r.opt.status}, but the paper solved it")
+    for (r <- rows if !paperUnsolved((r.dataset, r.k)))
+      assert(r.opt.status == "ok", s"${r.dataset} k=${r.k}: OPT ${r.opt.status}, but the paper solved it")
   }
 }

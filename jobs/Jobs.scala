@@ -2,6 +2,7 @@ package jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
+import repro.graphdata.Datasets
 
 /** A spark-submit entrypoint, one per evaluation table, e.g.
   *
@@ -40,7 +41,7 @@ object TableIII extends Job("tableIII") {
 }
 
 object TableIV extends Job("tableIV") {
-  def table(spark: SparkSession) = Tables.renderTableIV(Tables.tableIV(spark))
+  def table(spark: SparkSession) = Tables.renderTableIV(Tables.evalSweep(spark, Datasets.small))
 }
 
 object TableV extends Job("tableV") {

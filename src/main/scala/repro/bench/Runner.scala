@@ -19,7 +19,7 @@ final case class AlgoCell(status: String, size: Int = -1, millis: Long = -1,
   }
 }
 
-/** All algorithms evaluated on one (dataset, k) cell (Tables II/III and
+/** All algorithms evaluated on one (dataset, k) cell (Tables II–VI and
   * the Fig. 6 runtimes).
   */
 final case class EvalRow(dataset: String, k: Int, n: Int, m: Long, tau: Long,
@@ -64,21 +64,15 @@ object Runner {
         AlgoCell("ok", res.size, snMs + ms, gcModelMB)
       }
 
+    // L (no pruning) and LP (the paper's score-driven pruning)
     val lpModelMB = MemoryModel.toMB(MemoryModel.lpBytes(g, k))
-
-    // L — lightweight without pruning
-    val l =
-      if (!runL) AlgoCell("skip", modelMB = lpModelMB)
-      else {
-        val ((res, st), ms) = timed(Lightweight.run(g, k, sn, PruneMode.NoPrune))
-        Validation.ensureValid(g, res, s"$name k=$k L")
-        AlgoCell("ok", res.size, snMs + ms, lpModelMB, Some(st))
-      }
-
-    // LP — lightweight with the paper's score-driven pruning
-    val ((lpRes, lpSt), lpMs) = timed(Lightweight.run(g, k, sn, PruneMode.Paper))
-    Validation.ensureValid(g, lpRes, s"$name k=$k LP")
-    val lp = AlgoCell("ok", lpRes.size, snMs + lpMs, lpModelMB, Some(lpSt))
+    def lightweight(label: String, prune: PruneMode): AlgoCell = {
+      val ((res, st), ms) = timed(Lightweight.run(g, k, sn, prune))
+      Validation.ensureValid(g, res, s"$name k=$k $label")
+      AlgoCell("ok", res.size, snMs + ms, lpModelMB, Some(st))
+    }
+    val l = if (runL) lightweight("L", PruneMode.NoPrune) else AlgoCell("skip", modelMB = lpModelMB)
+    val lp = lightweight("LP", PruneMode.Paper)
 
     val opt = if (runOpt) optCell(g, k, s"$name k=$k") else AlgoCell("skip")
 

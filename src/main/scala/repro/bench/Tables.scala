@@ -42,6 +42,7 @@ object Tables {
 
   /** Full evaluation sweep: every dataset × k, all five algorithms. OPT
     * runs everywhere; its own clique and clique-graph gates report OOM.
+    * Table IV is this sweep on `Datasets.small`.
     */
   def evalSweep(spark: SparkSession,
                 specs: Seq[Datasets.Spec] = Datasets.standins): Seq[EvalRow] =
@@ -50,36 +51,33 @@ object Tables {
       Runner.evaluate(spark, spec.name, g, k, runOpt = true)
     }
 
-  def renderTableII(rows: Seq[EvalRow]): String = {
-    val byName = rows.groupBy(_.dataset)
-    val names = rows.map(_.dataset).distinct
-    val header = Seq("Name") ++ BenchConfig.ks.flatMap(k =>
-      Seq(s"OPT(k=$k)", s"HG(k=$k)", s"GC Δ(k=$k)", s"LP Δ(k=$k)"))
-    val body = names.map { name =>
-      val cells = BenchConfig.ks.flatMap { k =>
-        val r = byName(name).find(_.k == k).get
-        def delta(c: AlgoCell) = if (c.status == "ok") (c.size - r.hg.size).toString else c.status
-        Seq(r.opt.sizeStr, r.hg.sizeStr, delta(r.gc), delta(r.lp))
-      }
-      Seq(name) ++ cells
-    }
-    Runner.formatTable(header, body) + "\n" + Runner.optOutcomes(rows.map(_.opt.status))
+  /** One table row per name, in the order the rows first give it, and one
+    * column `heading(k=k)` per (heading, cell) pair and k: k-major (every
+    * heading at k=3, then at k=4, ...) or, without `kFirst`, heading-major.
+    */
+  private def grid[R](first: String, rows: Seq[R], name: R => String, k: R => Int,
+                      cols: Seq[(String, R => String)], kFirst: Boolean = true): String = {
+    val at = rows.map(r => (name(r), k(r)) -> r).toMap
+    val order =
+      if (kFirst) for (k <- BenchConfig.ks; c <- cols) yield (k, c)
+      else for (c <- cols; k <- BenchConfig.ks) yield (k, c)
+    Runner.formatTable(
+      first +: order.map { case (k, (heading, _)) => s"$heading(k=$k)" },
+      rows.map(name).distinct.map(n => n +: order.map { case (k, (_, cell)) => cell(at((n, k))) }))
   }
 
-  def renderTableIII(rows: Seq[EvalRow]): String = {
-    val byName = rows.groupBy(_.dataset)
-    val names = rows.map(_.dataset).distinct
-    val header = Seq("Name") ++ BenchConfig.ks.flatMap(k =>
-      Seq(s"OPT(k=$k)", s"HG(k=$k)", s"GC(k=$k)", s"LP(k=$k)"))
-    val body = names.map { name =>
-      val cells = BenchConfig.ks.flatMap { k =>
-        val r = byName(name).find(_.k == k).get
-        Seq(r.opt.memStr, r.hg.memStr, r.gc.memStr, r.lp.memStr)
-      }
-      Seq(name) ++ cells
-    }
-    Runner.formatTable(header, body)
-  }
+  /** An algorithm's |S| minus HG's in the same cell, or its status. */
+  private def delta(r: EvalRow, c: AlgoCell): String =
+    if (c.status == "ok") (c.size - r.hg.size).toString else c.status
+
+  def renderTableII(rows: Seq[EvalRow]): String =
+    grid[EvalRow]("Name", rows, _.dataset, _.k, Seq("OPT" -> (_.opt.sizeStr), "HG" -> (_.hg.sizeStr),
+      "GC Δ" -> (r => delta(r, r.gc)), "LP Δ" -> (r => delta(r, r.lp)))) +
+      "\n" + Runner.optOutcomes(rows.map(_.opt.status))
+
+  def renderTableIII(rows: Seq[EvalRow]): String =
+    grid[EvalRow]("Name", rows, _.dataset, _.k, Seq("OPT" -> (_.opt.memStr), "HG" -> (_.hg.memStr),
+      "GC" -> (_.gc.memStr), "LP" -> (_.lp.memStr)))
 
   /** Fig. 6 companion: running time per algorithm (ms), and for L and LP
     * the FindMin calls and the share of heap pops that were stale.
@@ -93,32 +91,20 @@ object Tables {
                         r.l.findMinStr, r.l.staleRatioStr, r.lp.findMinStr, r.lp.staleRatioStr)))
 
   // ------------------------------------------------------------------
-  // Table IV — LP vs exact OPT on small graphs
+  // Table IV — LP vs exact OPT on small graphs (`evalSweep` on
+  // `Datasets.small`), with the error ratio (OPT − LP) / OPT
   // ------------------------------------------------------------------
 
-  final case class SmallRow(name: String, n: Int, m: Long, k: Int,
-                            lp: Int, opt: AlgoCell, errorRatio: String)
-
-  def tableIV(spark: SparkSession,
-              specs: Seq[Datasets.Spec] = Datasets.small): Seq[SmallRow] =
-    for (spec <- specs; k <- BenchConfig.ks) yield {
-      val g = spec.csr
-      val lp = lpOn(spark, g, k)
-      Validation.ensureValid(g, lp, s"${spec.name} k=$k LP")
-      val opt = Runner.optCell(g, k, s"${spec.name} k=$k")
-      val er =
-        if (opt.status != "ok") "-"
-        else if (opt.size == 0) "0%"
-        else f"${(opt.size - lp.size) * 100.0 / opt.size}%.2f%%"
-      SmallRow(spec.name, g.n, g.undirectedEdgeCount, k, lp.size, opt, er)
-    }
-
-  def renderTableIV(rows: Seq[SmallRow]): String =
+  def renderTableIV(rows: Seq[EvalRow]): String =
     Runner.formatTable(
       Seq("Dataset", "n", "m", "k", "LP", "OPT", "ER"),
-      rows.map(r => Seq(r.name, r.n.toString, r.m.toString, r.k.toString,
-                        r.lp.toString, r.opt.sizeStr, r.errorRatio))) +
-      "\n" + Runner.optOutcomes(rows.map(_.opt.status))
+      rows.map { r =>
+        val er =
+          if (r.opt.status != "ok") "-"
+          else if (r.opt.size == 0) "0%"
+          else f"${(r.opt.size - r.lp.size) * 100.0 / r.opt.size}%.2f%%"
+        Seq(r.dataset, r.n.toString, r.m.toString, r.k.toString, r.lp.sizeStr, r.opt.sizeStr, er)
+      }) + "\n" + Runner.optOutcomes(rows.map(_.opt.status))
 
   // ------------------------------------------------------------------
   // Tables V & VI — Watts–Strogatz synthetic sweep
@@ -132,31 +118,12 @@ object Tables {
     }
 
   def renderTableV(rows: Seq[EvalRow]): String =
-    Runner.formatTable(
-      Seq("Degree") ++ BenchConfig.ks.flatMap(k =>
-        Seq(s"HG ms(k=$k)", s"GC ms(k=$k)", s"LP ms(k=$k)")),
-      rows.groupBy(_.dataset).toSeq
-        .sortBy(_._1.stripPrefix("deg=").toInt)
-        .map { case (name, rs) =>
-          Seq(name) ++ BenchConfig.ks.flatMap { k =>
-            val r = rs.find(_.k == k).get
-            Seq(r.hg.timeStr, r.gc.timeStr, r.lp.timeStr)
-          }
-        })
+    grid[EvalRow]("Degree", rows, _.dataset, _.k, Seq("HG ms" -> (_.hg.timeStr),
+      "GC ms" -> (_.gc.timeStr), "LP ms" -> (_.lp.timeStr)))
 
   def renderTableVI(rows: Seq[EvalRow]): String =
-    Runner.formatTable(
-      Seq("Degree") ++ BenchConfig.ks.flatMap(k =>
-        Seq(s"HG(k=$k)", s"GC Δ(k=$k)", s"LP Δ(k=$k)")),
-      rows.groupBy(_.dataset).toSeq
-        .sortBy(_._1.stripPrefix("deg=").toInt)
-        .map { case (name, rs) =>
-          Seq(name) ++ BenchConfig.ks.flatMap { k =>
-            val r = rs.find(_.k == k).get
-            def delta(c: AlgoCell) = if (c.status == "ok") (c.size - r.hg.size).toString else c.status
-            Seq(r.hg.sizeStr, delta(r.gc), delta(r.lp))
-          }
-        })
+    grid[EvalRow]("Degree", rows, _.dataset, _.k, Seq("HG" -> (_.hg.sizeStr),
+      "GC Δ" -> (r => delta(r, r.gc)), "LP Δ" -> (r => delta(r, r.lp))))
 
   // ------------------------------------------------------------------
   // Tables VII & VIII (+ Fig. 7) — dynamic maintenance
@@ -257,31 +224,14 @@ object Tables {
       swapCount = dp.swapCount + dp2.swapCount)
   }
 
-  def renderTableVII(rows: Seq[DynamicRow]): String = {
-    val names = rows.map(_.name).distinct
-    Runner.formatTable(
-      Seq("Dataset") ++ BenchConfig.ks.map(k => s"idx ms(k=$k)") ++
-        BenchConfig.ks.map(k => s"idx size(k=$k)"),
-      names.map { n =>
-        val rs = rows.filter(_.name == n)
-        Seq(n) ++ BenchConfig.ks.map(k => f"${rs.find(_.k == k).get.indexMs}%.1f") ++
-          BenchConfig.ks.map(k => rs.find(_.k == k).get.indexSize.toString)
-      })
-  }
+  def renderTableVII(rows: Seq[DynamicRow]): String =
+    grid[DynamicRow]("Dataset", rows, _.name, _.k, Seq(
+      "idx ms" -> (r => f"${r.indexMs}%.1f"), "idx size" -> (_.indexSize.toString)), kFirst = false)
 
-  def renderTableVIII(rows: Seq[DynamicRow]): String = {
-    val names = rows.map(_.name).distinct
-    Runner.formatTable(
-      Seq("Dataset") ++ BenchConfig.ks.map(k => s"del Δ(k=$k)") ++
-        BenchConfig.ks.map(k => s"ins Δ(k=$k)") ++ BenchConfig.ks.map(k => s"mix Δ(k=$k)"),
-      names.map { n =>
-        val rs = rows.filter(_.name == n)
-        def cell(k: Int, f: DynamicRow => Int) = f(rs.find(_.k == k).get).toString
-        Seq(n) ++ BenchConfig.ks.map(cell(_, _.afterDelDelta)) ++
-          BenchConfig.ks.map(cell(_, _.afterInsDelta)) ++
-          BenchConfig.ks.map(cell(_, _.afterMixDelta))
-      })
-  }
+  def renderTableVIII(rows: Seq[DynamicRow]): String =
+    grid[DynamicRow]("Dataset", rows, _.name, _.k, Seq(
+      "del Δ" -> (_.afterDelDelta.toString), "ins Δ" -> (_.afterInsDelta.toString),
+      "mix Δ" -> (_.afterMixDelta.toString)), kFirst = false)
 
   /** Fig. 7 companion: update time per operation (ns): mean, p50, p99,
     * and the swaps TrySwap made over the three streams.

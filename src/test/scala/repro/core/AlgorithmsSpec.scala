@@ -274,6 +274,21 @@ class AlgorithmsSpec extends AnyFunSuite {
     }
   }
 
+  for (k <- 3 to 6) {
+    test(s"L/LP counters: heap pushes = stale pops + |S| (every push pops once), k=$k") {
+      var stale = 0L
+      // the Theorem 4 graphs, and denser ones so that k=6 has stale pops
+      for (seed <- 0 until 8; p <- Seq(0.5, 0.75);
+           mode <- Seq(PruneMode.NoPrune, PruneMode.Strict, PruneMode.Paper)) {
+        val g = TestGraphs.randomGraph(16 + seed, p, 777L * k + seed)
+        val (res, st) = Lightweight.run(g, k, nodeScores(g, k), mode)
+        assert(st.heapPushes == st.stalePops + res.size, s"seed=$seed p=$p mode=$mode: $st, |S|=${res.size}")
+        stale += st.stalePops
+      }
+      assert(stale > 0, "no stale pop: the identity was not exercised past HeapInit")
+    }
+  }
+
   test("Lightweight prune stats: pruning reduces or keeps findMin work") {
     val g = TestGraphs.randomGraph(60, 0.3, 42)
     val scores = nodeScores(g, 3)
