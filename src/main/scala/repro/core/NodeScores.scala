@@ -6,10 +6,10 @@ import org.apache.spark.sql.SparkSession
   * containing u — the dominant cost of GC/L/LP and the paper's natural
   * parallel phase ("for each node u in parallel").
   *
-  * One `SourcePass.onSpark` job: each partition counts the cliques rooted
-  * at its dealt sources by pivoting (`CliqueSearch.countPerNode`), without
-  * visiting them, into a partial per-node count array, and the partials
-  * merge by reduce.
+  * One `SourcePass.onSpark` job with one partition per Spark core: each
+  * partition counts the cliques rooted at its dealt sources by pivoting
+  * (`CliqueSearch.countPerNode`), without visiting them, into a partial
+  * per-node count array, and the partials merge by reduce.
   */
 object NodeScores {
 
@@ -30,7 +30,7 @@ object NodeScores {
 
 /** GC's listing, `CliqueSearch.listAll(dag, k)` on the driver, under the
   * name perfbench's GC layer times; `spark` is unused. Kept only because
-  * perfbench calls it, until ROADMAP item 4 deletes it.
+  * perfbench calls it, until ROADMAP item 5 deletes it.
   */
 object SparkCliqueLister {
 

@@ -20,8 +20,10 @@ private[core] object SourcePass {
   /** Sources per dealt block. */
   val Block = 64
 
-  /** Number of parts for a back end with `parallelism` workers. */
-  def parts(parallelism: Int): Int = math.max(4 * parallelism, 8)
+  /** Number of parts for `onDriver` on `workers` threads: there a part
+    * costs one counter increment, and more parts even out the threads.
+    */
+  def parts(workers: Int): Int = math.max(4 * workers, 8)
 
   /** Some of the sources 0 until n: blocks first, first + step,
     * first + 2·step, … of `Block` sources each, visited in order and
@@ -46,7 +48,9 @@ private[core] object SourcePass {
     */
   def dealt(n: Int, parts: Int, p: Int): Sources = new Sources(n, p, parts)
 
-  /** One Spark job over the DAG's sources: each partition holds one part
+  /** One Spark job over the DAG's sources, one part per Spark core: each
+    * part costs a task and ships its result back, and the interleaved
+    * blocks already balance the work. Each partition holds one part
     * number, and `part` turns that part's dealt sources, with one
     * `CliqueSearch`, into the partition's one element; `merge` runs the
     * action on the resulting RDD while the DAG is still broadcast.
@@ -56,7 +60,7 @@ private[core] object SourcePass {
     require(k >= 3, s"k must be >= 3, got $k")
     val sc = spark.sparkContext
     val bc = sc.broadcast(dag)
-    val ps = parts(sc.defaultParallelism)
+    val ps = sc.defaultParallelism
     try merge(sc.parallelize(0 until ps, ps).map { p =>
       part(new CliqueSearch(bc.value, k), dealt(bc.value.n, ps, p))
     })

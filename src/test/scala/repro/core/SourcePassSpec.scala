@@ -1,9 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.graphdata.GraphGen
 
-/** The source pass's dealing rule and its Spark back end's boundary; the
-  * driver back end is exercised through HeapInit in LightweightSpec.
+/** The source pass's dealing rule and its Spark back end's part count and
+  * boundary; the driver back end is exercised through HeapInit in
+  * LightweightSpec.
   */
 class SourcePassSpec extends SparkSpec {
 
@@ -17,6 +19,23 @@ class SourcePassSpec extends SparkSpec {
       assert(byPart.flatten.sorted == (0 until n), s"n=$n parts=$parts")
       for (p <- 0 until parts)
         assert(byPart(p).forall(u => (u / SourcePass.Block) % parts == p), s"n=$n parts=$parts p=$p")
+    }
+  }
+
+  test("onSpark runs one partition per Spark core") {
+    val dag = CsrGraph.orient(TestGraphs.fig2, Orderings.byId(9))
+    val partitions = SourcePass.onSpark(spark, dag, 3)((_, _) => 0)(_.getNumPartitions)
+    assert(partitions == spark.sparkContext.defaultParallelism)
+  }
+
+  test("Spark node scores equal CliqueSearch.countPerNode(dag, k) when parts hold no source") {
+    // fig2's 9 nodes fill part 0's first block alone, so every other part
+    // is empty; the community graph ends in a partial block
+    val n = 50 * SourcePass.Block + 17
+    val community = GraphGen.community(n, 6 * n, 8, 0.8, seed = 79L).toCsr
+    for (g <- Seq(TestGraphs.fig2, community); k <- 3 to 5) {
+      val dag = CsrGraph.orient(g, Orderings.byId(g.n))
+      assert(NodeScores.compute(spark, dag, k).toSeq == CliqueSearch.countPerNode(dag, k).toSeq, s"n=${g.n} k=$k")
     }
   }
 
