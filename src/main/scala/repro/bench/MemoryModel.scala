@@ -37,11 +37,12 @@ object MemoryModel {
   /** LP base + τ cliques (k-int array each) + the τ-long sort order.
     * This models the paper's GC, and it feeds `optBytes` and the OOM
     * gate, so it stays as is. The code holds one flat 4kτ-byte clique
-    * array, listed on the driver already in canonical lex order (its
-    * growing buffer is copied on each doubling and once to trim it), and
-    * `CliqueScoreGreedy.select` adds τ clique scores and the two τ-int
-    * orders of `Orderings.ascending`'s score-digit passes, 16τ bytes, plus
-    * one 2^16-bucket count array.
+    * array, which `CliqueSearch.listAll` sizes exactly from per-block
+    * counts and fills in canonical lex order, and `CliqueScoreGreedy.select`
+    * stores no clique score: it adds the τ-int order of
+    * `Orderings.ascending`, a second τ-int order only when the largest
+    * clique score needs a second 16-bit digit, and one 2^16-bucket count
+    * array.
     */
   def gcBytes(g: CsrGraph, k: Int, tau: Long): Long =
     lpBytes(g, k) + tau * (arrayHeader + 4L * k + 8L) + 8L * tau

@@ -15,23 +15,27 @@ object CliqueScoreGreedy {
     * cliques listed canonical and in lex order, as `CliqueSearch.listAll`
     * returns them on the driver.
     *
-    * The pass that sums each clique's score (Definition 6) also checks
-    * the listing: every id in [0, n), ids rising strictly within each
-    * clique, and each clique strictly after the previous one in lex order;
-    * anything else, a repeated clique included, is rejected naming the
-    * clique's index. `Orderings.ascending` then orders the cliques by
-    * score with lex order kept among ties, and a linear scan over a `used`
-    * bitmap selects: O(passes·τ + n), no comparator. A negative node score
-    * or a clique score over `Long.MaxValue` is rejected.
+    * A checking pass sums each clique's score (Definition 6), keeping only
+    * the largest, and checks the listing: every id in [0, n), ids rising
+    * strictly within each clique, and each clique strictly after the
+    * previous one in lex order; anything else, a repeated clique included,
+    * is rejected naming the clique's index. A negative node score or a
+    * clique score over `Long.MaxValue` is rejected. `Orderings.ascending`
+    * then orders the cliques by score, summed again from the node scores
+    * on each digit pass rather than stored, with lex order kept among
+    * ties, and a linear scan over a `used` bitmap selects: O(passes·k·τ + n),
+    * no comparator.
     */
   def select(n: Int, k: Int, cliques: Cliques, sn: Array[Long]): DisjointResult = {
     require(cliques.k == k, s"cliques of ${cliques.k} nodes for k=$k")
     require(sn.length == n, s"node scores cover ${sn.length} nodes, the graph has $n")
     val tau = cliques.length
     val nodes = cliques.nodes
-    val score = new Array[Long](tau)
+    var max = 0L
     var c = 0
-    while (c < tau) {
+    // The try wraps the loop: a try expression inside it would be lifted
+    // into a method, with `s` boxed in a new LongRef for every clique.
+    try while (c < tau) {
       val base = c * k
       var after = c == 0 // decided: clique c comes after clique c − 1
       var s = 0L
@@ -48,18 +52,23 @@ object CliqueScoreGreedy {
         }
         val x = sn(u)
         if (x < 0) throw new IllegalArgumentException(s"node $u has score $x < 0")
-        s = try Math.addExact(s, x) catch {
-          case _: ArithmeticException =>
-            throw new IllegalArgumentException(s"clique $c's score is over Long.MaxValue")
-        }
+        s = Math.addExact(s, x)
         j += 1
       }
       if (!after) throw new IllegalArgumentException(s"clique $c repeats clique ${c - 1}")
-      score(c) = s
+      if (s > max) max = s
       c += 1
+    } catch {
+      case _: ArithmeticException => throw new IllegalArgumentException(s"clique $c's score is over Long.MaxValue")
     }
 
-    val order = Orderings.ascending(score)
+    val order = Orderings.ascending(tau, max) { x =>
+      var j = x * k
+      val end = j + k
+      var s = 0L
+      while (j < end) { s += sn(nodes(j)); j += 1 }
+      s
+    }
 
     val used = new Array[Boolean](n)
     val out = Vector.newBuilder[Array[Int]]

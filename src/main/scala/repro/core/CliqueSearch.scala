@@ -368,15 +368,18 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     }
   }
 
-  /** Add to `counts` every node's number of k-cliques rooted at `u`
-    * (exact modulo 2^64, like any sum of Longs). They are u plus the
+  /** Count by pivoting the k-cliques rooted at `u` (exact modulo 2^64,
+    * like any sum of Longs), without visiting them. They are u plus the
     * (k−1)-cliques of its out-list S: load S's rows, add each row's
-    * transpose to make them undirected, then count by pivoting from u held
-    * and P = S.
+    * transpose to make them undirected, then count from u held and P = S.
+    * Leaves u's count, the number of cliques it roots, in `heldSum`, and
+    * the count of S's node i in `gained(i)`; returns |S|, or 0 when u
+    * roots no clique.
     */
-  private def countFrom(u: Int, counts: Array[Long]): Unit = {
+  private def pivotFrom(u: Int): Int = {
+    heldSum = 0L
     val d = dag.degree(u)
-    if (d < k - 1) return
+    if (d < k - 1) return 0
     if (binom == null) allocatePivoting()
     load(u, null)
     val w = words
@@ -392,13 +395,21 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     }
     selectAll(0, d)
     Arrays.fill(gained, 0, d, 0L)
-    heldSum = 0L
     pivotSum = 0L
     pivot(0, d, 1, 0)
+    d
+  }
+
+  /** Add to `counts` every node's number of k-cliques rooted at `u`. */
+  private def countFrom(u: Int, counts: Array[Long]): Unit = {
+    val d = pivotFrom(u)
     counts(u) += heldSum
     var i = 0
     while (i < d) { counts(members(i)) += gained(i); i += 1 }
   }
+
+  /** The number of k-cliques rooted at `u`, by pivoting. */
+  private[core] def rootedCount(u: Int): Long = { pivotFrom(u); heldSum }
 
   /** The number of v's neighbours in the set at `sets(at)`. */
   private def inP(v: Int, at: Int): Int = {
@@ -519,18 +530,44 @@ object CliqueSearch {
     countPerNode(new CliqueSearch(dag, k), SourcePass.dealt(dag.n, 1, 0))
 
   /** Materialise every k-clique of the graph that `dag` orients, flat and
-    * canonical (ids ascending), in lex order, on the calling thread. The
-    * listing runs on `CsrGraph.upward(dag)`, whatever `dag`'s orientation:
-    * there each clique is rooted at its smallest id, the sources are
-    * visited in ascending order and `rec` picks candidates in id order, so
-    * the cliques come out in lex order. The re-orientation is one O(m)
-    * pass; it keeps callers that hand over another orientation, such as
-    * the benchmark's GC layer with its by-score DAG, on the same sequence.
+    * canonical (ids ascending), in lex order, in one exactly sized array.
+    * The listing runs on `CsrGraph.upward(dag)`, whatever `dag`'s
+    * orientation: there each clique is rooted at its smallest id and `rec`
+    * picks candidates in id order, so each source's cliques come out
+    * canonical and in lex order, and the sources in ascending order
+    * concatenate them into lex order. The re-orientation is one O(m) pass;
+    * it keeps callers that hand over another orientation, such as the
+    * benchmark's GC layer with its by-score DAG, on the same sequence.
+    *
+    * Two `SourcePass.onDriver` passes on the driver's cores: the first
+    * counts each 64-source block's cliques by pivoting, without visiting
+    * them; their prefix sums give each block its slice of the result, and
+    * the second lists each block's cliques into its slice. The result is
+    * the same on any number of workers. τ·k over `Int.MaxValue` throws
+    * before anything is listed.
     */
-  def listAll(dag: CsrGraph, k: Int): Cliques = {
-    val search = new CliqueSearch(CsrGraph.upward(dag), k)
-    val out = new Cliques.Buffer(k)
-    for (u <- 0 until dag.n) search.forEachFrom(u, null)(out.add)
-    Cliques(k, out.nodes)
+  def listAll(dag: CsrGraph, k: Int): Cliques = listAll(dag, k, Runtime.getRuntime.availableProcessors)
+
+  private[core] def listAll(dag: CsrGraph, k: Int, workers: Int): Cliques = {
+    val up = CsrGraph.upward(dag)
+    val block = SourcePass.Block
+    // the cliques of block b at start(b + 1), then, summed, block b's first clique at start(b)
+    val start = new Array[Long]((up.n + block - 1) / block + 1)
+    SourcePass.onDriver(up, k, workers) { (search, sources) =>
+      sources.foreach(u => start(u / block + 1) += search.rootedCount(u))
+    }
+    for (b <- 1 until start.length) start(b) += start(b - 1)
+    val tau = start(start.length - 1)
+    Cliques.checkSize(tau, k)
+    val nodes = new Array[Int](tau.toInt * k)
+    SourcePass.onDriver(up, k, workers) { (search, sources) =>
+      var at = 0
+      val put: Array[Int] => Unit = { c => System.arraycopy(c, 0, nodes, at, k); at += k }
+      sources.foreach { u =>
+        if (u % block == 0) at = start(u / block).toInt * k
+        search.forEachFrom(u, null)(put)
+      }
+    }
+    Cliques(k, nodes)
   }
 }

@@ -7,8 +7,9 @@ import scala.collection.mutable
   * `nodes[i·k, (i+1)·k)`, node ids ascending (canonical form).
   *
   * One `Array[Int]` instead of τ small arrays: no per-clique header or
-  * reference. Flat storage needs τ·k ≤ `Int.MaxValue`; `Buffer` checks it
-  * with [[Cliques.checkSize]] before it would exceed it.
+  * reference. Flat storage needs τ·k ≤ `Int.MaxValue`; `CliqueSearch.listAll`
+  * and `Buffer` check it with [[Cliques.checkSize]] before they would
+  * exceed it.
   */
 final case class Cliques(k: Int, nodes: Array[Int]) {
   require(k >= 1 && nodes.length % k == 0, s"${nodes.length} nodes do not split into $k-cliques")

@@ -28,9 +28,9 @@ object NodeScores {
   def totalCliques(scores: Array[Long], k: Int): Long = scores.sum / k
 }
 
-/** GC's listing, `CliqueSearch.listAll(dag, k)` on the driver, under the
-  * name perfbench's GC layer times; `spark` is unused. Kept only because
-  * perfbench calls it, until ROADMAP item 5 deletes it.
+/** GC's listing, `CliqueSearch.listAll(dag, k)` on the driver's cores,
+  * under the name perfbench's GC layer times; `spark` is unused. Kept only
+  * because perfbench calls it, until ROADMAP item 8 (benchmark v2) deletes it.
   */
 object SparkCliqueLister {
 

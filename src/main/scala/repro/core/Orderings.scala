@@ -34,43 +34,53 @@ object Orderings {
     rank
   }
 
-  /** The indices `0 until keys.length` in ascending (key, index) order.
-    *
-    * Stable LSD counting passes, one per 16-bit digit of the key, lowest
-    * first, up to the highest digit any key uses: O(passes·n) with one
-    * 2^16+1-int count array and two n-int orders, no comparator. A
-    * negative key is rejected.
+  /** The indices `0 until keys.length` in ascending (key, index) order;
+    * a negative key is rejected.
     */
   def ascending(keys: Array[Long]): Array[Int] = {
-    val n = keys.length
     var max = 0L
     var i = 0
-    while (i < n) {
+    while (i < keys.length) {
       val x = keys(i)
       if (x < 0) throw new IllegalArgumentException(s"key $i is $x < 0")
       if (x > max) max = x
       i += 1
     }
-    var order = Array.range(0, n)
-    var next = new Array[Int](n)
+    ascending(keys.length, max)(keys(_))
+  }
+
+  /** The indices `0 until n` in ascending (key, index) order, for keys in
+    * [0, max] that `key` computes on demand.
+    *
+    * Stable LSD counting passes, one per 16-bit digit of the key, lowest
+    * first, up to the highest digit of `max` (at least one): O(passes·n)
+    * key calls with one 2^16+1-int count array and no comparator. The
+    * first pass scatters the indices in their own order into the result,
+    * and a second n-int order is allocated only when a second digit is
+    * needed.
+    */
+  def ascending(n: Int, max: Long)(key: Int => Long): Array[Int] = {
+    var order = new Array[Int](n)
+    var next: Array[Int] = null
     val count = new Array[Int]((1 << DigitBits) + 1)
     val bits = 64 - java.lang.Long.numberOfLeadingZeros(max)
     var shift = 0
-    while (shift < bits) {
+    while (shift == 0 || shift < bits) {
       Arrays.fill(count, 0)
-      i = 0
-      while (i < n) { count(((keys(i) >>> shift) & DigitMask).toInt + 1) += 1; i += 1 }
+      var i = 0
+      while (i < n) { count(((key(i) >>> shift) & DigitMask).toInt + 1) += 1; i += 1 }
       var v = 1
       while (v < count.length) { count(v) += count(v - 1); v += 1 }
+      val to = if (shift == 0) order else { if (next == null) next = new Array[Int](n); next }
       i = 0
       while (i < n) {
-        val c = order(i)
-        val d = ((keys(c) >>> shift) & DigitMask).toInt
-        next(count(d)) = c
+        val c = if (shift == 0) i else order(i)
+        val d = ((key(c) >>> shift) & DigitMask).toInt
+        to(count(d)) = c
         count(d) += 1
         i += 1
       }
-      val t = order; order = next; next = t
+      if (shift > 0) { next = order; order = to }
       shift += DigitBits
     }
     order

@@ -382,6 +382,67 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
+  /** Graphs for the parallel listing: n below 64 and n not a multiple of
+    * 64; a middle block of isolated nodes, which roots no clique; no
+    * clique at all (a path, and no node); and a community graph with
+    * ragged blocks.
+    */
+  private def listingCases(k: Int): Seq[CsrGraph] = {
+    val random = for (seed <- 0 until 4) yield TestGraphs.randomGraph(20 + 43 * seed, 0.5 - 0.1 * seed, 5200L + 10 * k + seed)
+    val dense = TestGraphs.randomGraph(64, 0.6, 5300L + k)
+    def spread(u: Int) = if (u < 32) u else u + 136 // ids 32..167 isolated: block 1 roots nothing
+    val gapped = TestGraphs.fromEdges(200, for (u <- 0 until dense.n; v <- dense.neighborsOf(u) if u < v)
+      yield (spread(u), spread(v)))
+    random ++ Seq(gapped, TestGraphs.path(70), TestGraphs.fromEdges(0, Nil),
+                  GraphGen.community(700, 5000, 14, 0.85, seed = 63L).toCsr)
+  }
+
+  for (k <- 3 to 6) {
+    test(s"listAll on 1, 2, 4 and 7 workers equals forEachFrom's sequence, k=$k") {
+      for (g <- listingCases(k); rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g))) {
+        val dag = CsrGraph.orient(g, rank)
+        val search = new CliqueSearch(CsrGraph.upward(dag), k)
+        val expected = ArrayBuffer.empty[Int]
+        for (u <- 0 until g.n) search.forEachFrom(u, null)(expected ++= _)
+        for (workers <- Seq(1, 2, 4, 7))
+          assert(java.util.Arrays.equals(CliqueSearch.listAll(dag, k, workers).nodes, expected.toArray),
+                 s"n=${g.n} workers=$workers")
+      }
+    }
+
+    test(s"per-source rooted counts sum to the total of the per-node counts, k=$k") {
+      for (g <- listingCases(k); rank <- Seq(Orderings.byId(g.n), Orderings.byDegree(g))) {
+        val dag = CsrGraph.orient(g, rank)
+        val tau = NodeScores.totalCliques(CliqueSearch.countPerNode(dag, k), k)
+        for (d <- Seq(dag, CsrGraph.upward(dag))) {
+          val search = new CliqueSearch(d, k)
+          assert((0 until g.n).map(search.rootedCount).sum == tau, s"n=${g.n}")
+        }
+      }
+    }
+  }
+
+  test("GC's listing and selection allocate the clique array, one order and O(n + m) on the calling thread") {
+    val k = 4
+    val g = GraphGen.community(3000, 30000, 24, 0.85, seed = 64L).toCsr
+    val dag = CsrGraph.orient(g, Orderings.byId(g.n))
+    val sn = CliqueSearch.countPerNode(dag, k)
+    CliqueScoreGreedy.select(g.n, k, CliqueSearch.listAll(dag, k, workers = 1), sn) // loads the classes
+    val (listing, listed) = TestGraphs.allocatedBy(CliqueSearch.listAll(dag, k, workers = 1))
+    val (selection, s) = TestGraphs.allocatedBy(CliqueScoreGreedy.select(g.n, k, listed, sn))
+    val bytes = listing + selection
+    val tau = listed.length.toLong
+    assert(tau >= 100000 && s.cliques.nonEmpty)
+    val maxScore = TestGraphs.grouped(listed).map(TestGraphs.cliqueScore(_, sn)).max
+    val orders = if (maxScore >= (1L << 16)) 2 else 1
+    // 64 bytes per node or edge (2.1 MB here, about half of it used) cover
+    // the upward DAG, the two passes' searches, the block offsets, the used
+    // bitmap, S and the 2^16-bucket count array; a copy of the cliques
+    // (8 MB), a τ-long score array (4 MB) or a second order (2 MB) would not fit
+    val bound = 4L * k * tau + 4L * tau * orders + 64L * (g.n + g.undirectedEdgeCount)
+    assert(bytes < bound, s"allocated $listing + $selection bytes, bound $bound, tau=$tau orders=$orders")
+  }
+
   test("size check: τ·k over Int.MaxValue fails, naming τ and k") {
     val maxTau = Int.MaxValue / 3
     Cliques.checkSize(maxTau.toLong, 3)

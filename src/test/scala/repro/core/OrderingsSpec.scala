@@ -19,6 +19,7 @@ class OrderingsSpec extends AnyFunSuite {
     assert(Orderings.byScore(keys).sameElements(want))
     val order = Orderings.ascending(keys)
     assert(order.indices.forall(i => want(order(i)) == i))
+    assert(Orderings.ascending(keys.length, keys.foldLeft(0L)(math.max))(keys(_)).sameElements(order))
   }
 
   test("ranks equal the tuple-sort reference on random keys with many ties") {
@@ -30,6 +31,18 @@ class OrderingsSpec extends AnyFunSuite {
 
   test("all-zero keys give the identity ordering") {
     assert(Orderings.byScore(new Array[Long](300)).sameElements(0 until 300))
+  }
+
+  test("the keyed routine allocates one order for keys of one digit, all 0 included, and a second only for more") {
+    val n = 1 << 20
+    val counts = 4L * ((1 << 16) + 1)
+    for ((max, orders) <- Seq((0L, 1), (0xffffL, 1), (0x10000L, 2))) {
+      Orderings.ascending(1000, max)(i => i % (max + 1)) // loads the classes
+      val (bytes, order) = TestGraphs.allocatedBy(Orderings.ascending(n, max)(i => i % (max + 1)))
+      assert(bytes < 4L * n * orders + counts + (1 << 16), s"max=$max: $bytes bytes")
+      if (max == 0) assert(order.sameElements(0 until n))
+      else assert((1 until n).forall(i => order(i - 1) % (max + 1) <= order(i) % (max + 1)), s"max=$max")
+    }
   }
 
   test("ranks equal the reference on keys of 1 to 4 digits up to Long.MaxValue") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
 import scala.util.Random
 
 /** Shared fixtures: the paper's running examples and brute-force
@@ -124,4 +125,13 @@ object TestGraphs {
 
   /** τ of a DAG, the total of its per-node counts. */
   def tau(dag: CsrGraph, k: Int): Long = NodeScores.totalCliques(CliqueSearch.countPerNode(dag, k), k)
+
+  /** The bytes the calling thread allocates while it runs `f`, and `f`'s result. */
+  def allocatedBy[T](f: => T): (Long, T) = {
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val id = Thread.currentThread.getId
+    val before = bean.getThreadAllocatedBytes(id)
+    val out = f
+    (bean.getThreadAllocatedBytes(id) - before, out)
+  }
 }
