@@ -35,11 +35,12 @@ object Runner {
   }
 
   /** Evaluate OPT/HG/GC/L/LP on one graph for one k, with the OOM/OOT
-    * gates of BenchConfig. Node scores are computed once via Spark and
-    * their time charged to GC/L/LP (the paper counts initialisation).
+    * gates of BenchConfig; without `runOptAndL`, OPT and L are "skip".
+    * Node scores are computed once via Spark and their time charged to
+    * GC/L/LP (the paper counts initialisation).
     */
   def evaluate(spark: SparkSession, name: String, g: CsrGraph, k: Int,
-               runOpt: Boolean, runL: Boolean = true): EvalRow = {
+               runOptAndL: Boolean): EvalRow = {
 
     // HG — degree ordering, pure driver greedy
     val (hgRes, hgMs) = timed(BasicFramework.run(g, k))
@@ -71,10 +72,10 @@ object Runner {
       Validation.ensureValid(g, res, s"$name k=$k $label")
       AlgoCell("ok", res.size, snMs + ms, lpModelMB, Some(st))
     }
-    val l = if (runL) lightweight("L", PruneMode.NoPrune) else AlgoCell("skip", modelMB = lpModelMB)
+    val l = if (runOptAndL) lightweight("L", PruneMode.NoPrune) else AlgoCell("skip", modelMB = lpModelMB)
     val lp = lightweight("LP", PruneMode.Paper)
 
-    val opt = if (runOpt) optCell(g, k, s"$name k=$k") else AlgoCell("skip")
+    val opt = if (runOptAndL) optCell(g, k, s"$name k=$k") else AlgoCell("skip")
 
     EvalRow(name, k, g.n, g.undirectedEdgeCount, tau, opt, hg, gc, l, lp)
   }

@@ -48,7 +48,7 @@ object Tables {
                 specs: Seq[Datasets.Spec] = Datasets.standins): Seq[EvalRow] =
     for (spec <- specs; k <- BenchConfig.ks) yield {
       val g = spec.csr
-      Runner.evaluate(spark, spec.name, g, k, runOpt = true)
+      Runner.evaluate(spark, spec.name, g, k, runOptAndL = true)
     }
 
   /** One table row per name, in the order the rows first give it, and one
@@ -114,7 +114,7 @@ object Tables {
     for (deg <- BenchConfig.wsDegrees; k <- BenchConfig.ks) yield {
       val g = GraphGen.wattsStrogatz(BenchConfig.wsNodes, deg, BenchConfig.wsBeta,
         seed = 4242L + deg).toCsr
-      Runner.evaluate(spark, s"deg=$deg", g, k, runOpt = false, runL = false)
+      Runner.evaluate(spark, s"deg=$deg", g, k, runOptAndL = false)
     }
 
   def renderTableV(rows: Seq[EvalRow]): String =

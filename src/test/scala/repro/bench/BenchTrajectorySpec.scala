@@ -39,7 +39,8 @@ class BenchTrajectorySpec extends AnyFunSuite {
           assert(q1 <= med && med <= q3, s"$ctx: $name quartiles $q1 $med $q3")
         }
         // The machine's state, recorded by `bench_entry.py pairs`: median
-        // load average before and after a run, and median steal %.
+        // load average before and after a run, median steal %, and, in
+        // entries since it was recorded, the median time of a fixed loop.
         if (e.has("machine")) {
           val m = e.get("machine")
           for (f <- Seq("runs", "load_before", "load_after", "steal_pct")) assert(m.has(f), s"$ctx: no machine.$f")
@@ -47,6 +48,7 @@ class BenchTrajectorySpec extends AnyFunSuite {
           assert(m.get("load_before").asDouble() >= 0 && m.get("load_after").asDouble() >= 0, ctx)
           val steal = m.get("steal_pct").asDouble()
           assert(steal >= 0 && steal <= 100, s"$ctx: steal $steal%")
+          if (m.has("calib_ms")) assert(m.get("calib_ms").asDouble() > 0, s"$ctx: calib_ms")
         }
       }
     }

@@ -357,19 +357,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     }
   }
 
-  test("Buffer sorts each clique and keeps them in order") {
-    val b = new Cliques.Buffer(3)
-    Seq(Array(5, 1, 3), Array(2, 0, 4)).foreach(b.add)
-    assert(b.length == 2 && b.nodes.toSeq == Seq(1, 3, 5, 0, 2, 4))
-    // across chunk ends: exactly one chunk, one more, two and one more
-    for (tau <- Seq(Cliques.Chunk, Cliques.Chunk + 1, 2 * Cliques.Chunk + 1)) {
-      val many = new Cliques.Buffer(2)
-      for (i <- 0 until tau) many.add(Array(i + 1, i))
-      assert(many.length == tau && many.nodes.toSeq == (0 until tau).flatMap(i => Seq(i, i + 1)), s"tau=$tau")
-    }
-  }
-
-  test("listAll over several Buffer chunks equals forEachFrom's cliques in source order") {
+  test("listAll of over 8192 cliques equals forEachFrom's cliques in source order") {
     val g = GraphGen.community(900, 7000, 14, 0.85, seed = 61L).toCsr
     val dag = CsrGraph.orient(g, Orderings.byDegree(g))
     for (k <- 3 to 4) {
@@ -377,7 +365,7 @@ class CliqueSearchSpec extends AnyFunSuite {
       val expected = ArrayBuffer.empty[Int]
       for (u <- 0 until g.n) search.forEachFrom(u, null)(c => expected ++= c.sorted)
       val listed = CliqueSearch.listAll(dag, k)
-      assert(listed.length > 2 * Cliques.Chunk, s"k=$k")
+      assert(listed.length > 2 * 4096, s"k=$k")
       assert(listed.nodes.toSeq == expected.toSeq, s"k=$k")
     }
   }

@@ -12,13 +12,16 @@ Run from the repository root.
 
 pairs runs perfbench/run.py for BENCHMARK.json's run_seconds once per seed
 in the parent checkout and once in this one, alternately: even seeds run the parent first, odd seeds the
-change first. Around each run it reads the 1-minute load average from
-/proc/loadavg and the CPU time counters from /proc/stat, and writes the
-load before and after the run and the share of CPU time stolen by the
-hypervisor during it (steal %) next to that run's record, as
-<workload>-seed<s>-trace<t>.machine.json. Each side writes its records
-under its own .bench_build/, where this script reads them: CARGO_TARGET_DIR,
-which perfbench/run.py would use in place of .bench_build/, is not passed on.
+change first. Before each run it times a fixed pure-Python integer loop
+(about 0.2 s on a 4-core VM), a reading of the machine's speed at that
+moment. Around each run it reads the 1-minute load average from
+/proc/loadavg and the CPU time counters from /proc/stat. It writes the
+loop's time (calib_ms), the load before and after the run and the share
+of CPU time stolen by the hypervisor during it (steal %) next to that
+run's record, as <workload>-seed<s>-trace<t>.machine.json. Each side
+writes its records under its own .bench_build/, where this script reads
+them: CARGO_TARGET_DIR, which perfbench/run.py would use in place of
+.bench_build/, is not passed on.
 
 append and compare read the perfbench records
 <records>/<workload>-seed<s>-trace0.json of the given seeds, and the traced
@@ -39,7 +42,9 @@ missing) one entry with:
   - per_layer: the median of each per-layer metric over the traced records
     of the same seeds, when there are any;
   - machine: the medians of the load before and after each run and of its
-    steal %, when pairs recorded them.
+    steal %, when pairs recorded them, and the median calib_ms over the
+    runs whose sidecar has it (sidecars written before it was added do
+    not). No metric is divided by calib_ms.
 
 Every record must come from the same commit, sources and environment;
 otherwise the script stops without writing.
@@ -55,10 +60,10 @@ more than the bound; "unresolved" when it is not, but the parent's
 quartile spread, relative to the parent's median, is wider than the bound
 and the change does not win every pair, so the runs cannot tell a
 regression within the bound from noise; and "ok" otherwise. It also
-prints the failed operations per side, each side's machine medians when
-pairs recorded them, the seeds and cells whose S digests differ, and,
-when both sides have traced records, each per-layer median that is
-not 0 on both sides.
+prints the failed operations per side, each side's machine medians
+(calib_ms among them, when recorded) when pairs recorded them, the seeds
+and cells whose S digests differ, and, when both sides have traced
+records, each per-layer median that is not 0 on both sides.
 
 Beside those columns, which it replaces none of, compare prints each
 end-to-end metric's paired effect: the median over the pairs of
@@ -80,10 +85,12 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ENV_KEYS = ("nproc", "spark_master", "spark_default_parallelism", "max_heap_mb", "java_version")
 MACHINE_KEYS = ("load_before", "load_after", "steal_pct")
+CALIB_LOOPS = 2_000_000
 
 
 def seed_list(text):
@@ -156,7 +163,20 @@ def machine(records, workload, seeds):
     samples = [json.loads(p.read_text()) for p in paths if p.exists()]
     if not samples:
         return None
-    return {"runs": len(samples), **{k: statistics.median(m[k] for m in samples) for k in MACHINE_KEYS}}
+    out = {"runs": len(samples), **{k: statistics.median(m[k] for m in samples) for k in MACHINE_KEYS}}
+    calib = [m["calib_ms"] for m in samples if "calib_ms" in m]
+    if calib:
+        out["calib_ms"] = statistics.median(calib)
+    return out
+
+
+def calibrate():
+    """The milliseconds a fixed pure-Python integer loop takes."""
+    t0 = time.perf_counter()
+    x = 0
+    for i in range(CALIB_LOOPS):
+        x = (x + i * i) % 1000003
+    return 1000.0 * (time.perf_counter() - t0)
 
 
 def cpu_sample():
@@ -173,20 +193,21 @@ def pairs(a, spec):
     for s in a.seeds:
         for side in (("parent", "change") if s % 2 == 0 else ("change", "parent")):
             root = sides[side]
+            calib = calibrate()
             load0, t0 = cpu_sample()
             r = subprocess.run([sys.executable, "perfbench/run.py", "--workload", a.workload, "--seed", str(s),
                                 "--seconds", str(spec["run_seconds"]), "--trace", str(a.trace)],
                                cwd=root, env=env, stdout=subprocess.PIPE, text=True)
             load1, t1 = cpu_sample()
             d = [y - x for x, y in zip(t0, t1)]
-            sample = {"load_before": load0, "load_after": load1,
+            sample = {"calib_ms": calib, "load_before": load0, "load_after": load1,
                       "steal_pct": 100.0 * d[7] / sum(d) if sum(d) else 0.0}
             records = root / ".bench_build/records"
             records.mkdir(parents=True, exist_ok=True)
             (records / f"{a.workload}-seed{s}-trace{a.trace}.machine.json").write_text(json.dumps(sample) + "\n")
             failed += r.returncode != 0
             print(f"pairs: {a.workload} seed {s} {side}: exit {r.returncode}, load {load0:.2f} -> {load1:.2f}, "
-                  f"steal {sample['steal_pct']:.2f}%", flush=True)
+                  f"steal {sample['steal_pct']:.2f}%, calibration {calib:.1f} ms", flush=True)
     return 1 if failed else 0
 
 
@@ -244,7 +265,8 @@ def compare(a, spec):
         m = machine(d, a.workload, a.seeds)
         if m:
             print(f"machine ({side}, {m['runs']} runs): median load {m['load_before']:.2f} before, "
-                  f"{m['load_after']:.2f} after; median steal {m['steal_pct']:.2f}%")
+                  f"{m['load_after']:.2f} after; median steal {m['steal_pct']:.2f}%"
+                  + (f"; median calibration loop {m['calib_ms']:.1f} ms" if "calib_ms" in m else ""))
     print(f"{'metric':<11} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
           f"{'change':>8} {'wins':>6} {'bound':<10} {'beyond parent spread':<20} paired effect [95%]")
     for m in spec["end_to_end"]:
