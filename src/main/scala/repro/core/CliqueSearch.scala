@@ -67,8 +67,6 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   private var limit: Long = Long.MaxValue
   /** Score of the clique handed to the leaf. */
   private var leafScore: Long = 0L
-  /** Set by a leaf to stop the search. */
-  private var stop: Boolean = false
 
   /** `findMin` calls that searched: from a valid source with ≥ k − 1 valid out-neighbours. */
   private[core] var searches: Long = 0L
@@ -192,14 +190,14 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * `sets(level·words)` in ascending order, then the levels below it
     * from the candidates in its row. `partial` is the score of
     * `clique(0 until level)`. At level k-1 the leaf gets the clique, with
-    * its score in `leafScore`; it sets `stop` to end the search, and `rec`
+    * its score in `leafScore`; it returns true to end the search, and `rec`
     * then returns true.
     *
     * Under a prune limit, a branch that still needs r ≥ 2 nodes is cut
     * when even its r cheapest candidates would take the sum past the
     * limit; at r = 1 the leaf loop makes that test exactly.
     */
-  private def rec(level: Int, partial: Long, leaf: Array[Int] => Unit): Boolean = {
+  private def rec(level: Int, partial: Long, leaf: Array[Int] => Boolean): Boolean = {
     val sn = scores
     val at = level * words
     val r = k - 1 - level
@@ -213,8 +211,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
           clique(level) = members(v)
           if (r == 0) {
             leafScore = s
-            leaf(clique)
-            if (stop) return true
+            if (leaf(clique)) return true
           } else if (narrow(at, v) >= r && !(r >= 2 && limit != Long.MaxValue && s + cheapest(at + words, r) > limit) &&
                      rec(level + 1, s, leaf)) return true
         }
@@ -229,11 +226,10 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * (null: unscored) and no prune limit; a leaf may tighten `limit` as it
     * goes.
     */
-  private def run(level: Int, d: Int, partial: Long, sn: Array[Long], leaf: Array[Int] => Unit): Boolean = {
+  private def run(level: Int, d: Int, partial: Long, sn: Array[Long], leaf: Array[Int] => Boolean): Boolean = {
     if (d < k - level) return false
     scores = sn
     limit = Long.MaxValue
-    stop = false
     selectAll(level * words, d)
     rec(level, partial, leaf)
   }
@@ -265,14 +261,15 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     place(d, members(d - 1) + 1)
     for (i <- 0 until d) poolRow(i, neighbours(members(i)))
     unplace(d)
-    run(p, d, 0L, null, c => stop = f(c))
+    run(p, d, 0L, null, f)
   }
 
   /** Visit every k-clique whose highest-η node is `u`: the prefix `(u)`
     * extended by u's valid out-neighbours. The callback's array is
-    * reused — copy it if you keep it.
+    * reused — copy it if you keep it. `f` returns true to stop; the
+    * result says whether it did.
     */
-  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Unit): Unit =
+  def forEachFrom(u: Int, valid: Array[Boolean])(f: Array[Int] => Boolean): Boolean =
     run(1, load(u, valid), 0L, null, f)
 
   // ---------------------------------------------------------------------
@@ -283,7 +280,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * or null if no k-clique containing `u` exists among valid nodes.
     */
   def findFirst(u: Int, valid: Array[Boolean]): Array[Int] =
-    if (run(1, load(u, valid), 0L, null, _ => stop = true)) clique.clone() else null
+    if (forEachFrom(u, valid)(_ => true)) clique.clone() else null
 
   // ---------------------------------------------------------------------
   // Algorithm 3's FindMin: min-(score, canon) clique containing u.
@@ -300,7 +297,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * on an improvement, tighten the prune limit to the new best score
     * (`Strict`: `>` prunes) or one below it (`Paper`: `≥` prunes).
     */
-  private val minLeaf: Array[Int] => Unit = { c =>
+  private val minLeaf: Array[Int] => Boolean = { c =>
     val score = leafScore
     if (!found || score <= bestScore) {
       System.arraycopy(c, 0, sorted, 0, k)
@@ -316,6 +313,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
         }
       }
     }
+    false
   }
 
   /** Find the clique rooted at `u` minimising (Σ s_n, canon), with the
@@ -505,15 +503,10 @@ object CliqueSearch {
   /** `findMin`'s result when the source roots no clique. */
   val NoClique: Long = Long.MinValue
 
-  /** Lexicographic comparison of canonical (ascending-sorted) cliques. */
-  def compareCanon(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0
-    while (i < a.length && i < b.length) {
-      if (a(i) != b(i)) return Integer.compare(a(i), b(i))
-      i += 1
-    }
-    Integer.compare(a.length, b.length)
-  }
+  /** Lexicographic comparison of canonical (ascending-sorted) cliques; a
+    * proper prefix comes first.
+    */
+  def compareCanon(a: Array[Int], b: Array[Int]): Int = Arrays.compare(a, b)
 
   /** Per-node counts of the cliques rooted at `sources` (node scores,
     * Definition 5, when the sources are every node), by pivoting: the part
@@ -562,7 +555,7 @@ object CliqueSearch {
     val nodes = new Array[Int](tau.toInt * k)
     SourcePass.onDriver(up, k, workers) { (search, sources) =>
       var at = 0
-      val put: Array[Int] => Unit = { c => System.arraycopy(c, 0, nodes, at, k); at += k }
+      val put: Array[Int] => Boolean = { c => System.arraycopy(c, 0, nodes, at, k); at += k; false }
       sources.foreach { u =>
         if (u % block == 0) at = start(u / block).toInt * k
         search.forEachFrom(u, null)(put)

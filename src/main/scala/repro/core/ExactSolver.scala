@@ -39,7 +39,7 @@ object ExactSolver {
     // 10 s; 45,127 in this order), and its count-then-fill built each source's rows twice (14–55% slower).
     val lister = new CliqueSearch(CsrGraph.orient(g, Orderings.byId(g.n)), k)
     val listed = new mutable.ArrayBuilder.ofInt
-    val add: Array[Int] => Unit = { c => Cliques.checkSize(listed.length / k + 1L, k); listed.addAll(c, 0, k) }
+    val add: Array[Int] => Boolean = { c => Cliques.checkSize(listed.length / k + 1L, k); listed.addAll(c, 0, k); false }
     val over = (0 until g.n).indexWhere { u => lister.forEachFrom(u, null)(add); listed.length / k > maxCliques }
     if (over >= 0) return Left(s"OOM: ${listed.length / k} cliques from sources 0..$over exceed budget $maxCliques")
     val nodes = listed.result()

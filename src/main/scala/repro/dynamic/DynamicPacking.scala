@@ -23,14 +23,13 @@ import scala.collection.mutable
   * adjacent to all of a prefix for a free clique through an inserted edge
   * or a freed node.
   *
-  * An entry that dies is found through the hosts that can hold it: a
-  * candidate's owned nodes lie in its host, and each of its free nodes is
-  * adjacent to a node of its host. A deletion that keeps S only drops the
-  * candidates through the deleted edge. Freeing nodes and inserting an
-  * edge recompute the candidate sets of the affected hosts instead of
-  * searching for the new candidates only (DESIGN.md §3.4). Tests assert
-  * the index stays identical to a from-scratch Algorithm 5 construction
-  * after every update.
+  * The index follows one rule: an update touches the hosts around the
+  * nodes that change owner (`hostsAround`) or through the edge that
+  * changes (`hostsThrough`). A host that can gain (nodes freed, an edge
+  * inserted) is rebuilt, instead of searching for the new candidates only
+  * (DESIGN.md §3.4); a host that can lose (nodes taken, an edge deleted)
+  * has its dead entries filtered out. Tests assert the index stays
+  * identical to a from-scratch Algorithm 5 construction after every update.
   */
 final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
@@ -66,11 +65,7 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   def initialize(result: DisjointResult): Long = {
     require(result.k == k && cliques.isEmpty, s"S of ${result.k}-cliques into a k=$k packing holding $size")
     Validation.validate(g.n, g.hasEdge, result).foreach(err => throw new IllegalArgumentException(err))
-    for (c <- result.cliques) {
-      val id = nextId; nextId += 1
-      cliques(id) = c.sorted
-      c.foreach(cliqueOf(_) = id)
-    }
+    result.cliques.foreach(install)
     val t0 = System.nanoTime()
     for (id <- cliques.keys.toSeq) setCandidates(id, candidatesFor(id))
     System.nanoTime() - t0
@@ -140,7 +135,28 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   private def hostsAround(xs: Array[Int]): Array[Int] = {
     val b = new mutable.ArrayBuilder.ofInt
     for (x <- xs) g.foreachNeighbor(x) { y => if (cliqueOf(y) != -1) b.addOne(cliqueOf(y)) }
-    val hs = b.result().sorted
+    ascendingOnce(b.result())
+  }
+
+  /** The hosts of the candidates through the edge ⟨u,v⟩, ascending, each
+    * once. A candidate spans one host, so owned endpoints name their owner
+    * if there is one owner. With both endpoints free, every host node of
+    * such a candidate is adjacent to both: the owners of common neighbours.
+    */
+  private def hostsThrough(u: Int, v: Int): Array[Int] = {
+    val cu = cliqueOf(u); val cv = cliqueOf(v)
+    if (cu != -1 && cv != -1) Array.emptyIntArray
+    else if (cu != -1 || cv != -1) Array(math.max(cu, cv))
+    else {
+      val b = new mutable.ArrayBuilder.ofInt
+      g.foreachNeighbor(u) { w => if (cliqueOf(w) != -1 && g.hasEdge(v, w)) b.addOne(cliqueOf(w)) }
+      ascendingOnce(b.result())
+    }
+  }
+
+  /** `hs` sorted in place, with its repeats dropped. */
+  private def ascendingOnce(hs: Array[Int]): Array[Int] = {
+    Arrays.sort(hs)
     var m = 0
     for (h <- hs if m == 0 || hs(m - 1) != h) { hs(m) = h; m += 1 }
     hs.take(m)
@@ -154,16 +170,22 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   // S mutations
   // ------------------------------------------------------------------
 
-  /** Add an all-free clique to S; maintains the index. Returns its id. */
-  private def addClique(nodes: Array[Int]): Int = {
-    require(nodes.length == k && nodes.forall(cliqueOf(_) == -1),
-      s"addClique needs $k free nodes, got ${nodes.mkString(",")}")
+  /** Enter a clique into S under a new id, ascending; returns the id. */
+  private def install(nodes: Array[Int]): Int = {
     val id = nextId; nextId += 1
     val arr = nodes.sorted
     cliques(id) = arr
     arr.foreach(cliqueOf(_) = id)
+    id
+  }
+
+  /** Add an all-free clique to S; maintains the index. Returns its id. */
+  private def addClique(nodes: Array[Int]): Int = {
+    require(nodes.length == k && nodes.forall(cliqueOf(_) == -1),
+      s"addClique needs $k free nodes, got ${nodes.mkString(",")}")
+    val id = install(nodes)
     // the entries through its formerly free nodes sit in adjacent hosts
-    dropFrom(hostsAround(arr))(_.exists(cliqueOf(_) == id))
+    dropFrom(hostsAround(cliques(id)))(_.exists(cliqueOf(_) == id))
     setCandidates(id, candidatesFor(id))
     id
   }
@@ -184,28 +206,27 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
 
   /** Pop hosts from a FIFO queue, the ascending `initial` first; when ≥2
     * disjoint candidates of a host exist, swap the host out for them
-    * (strictly growing S). New cliques and gaining hosts re-enter it.
+    * (strictly growing S). New cliques and gaining hosts re-enter it
+    * unless queued: the queue is an insertion-ordered set.
     */
   private def trySwap(initial: Array[Int]): Unit = {
-    val q = mutable.Queue.empty[Int]
-    val inQueue = mutable.HashSet.empty[Int]
-    def push(cid: Int): Unit = if (!inQueue.contains(cid)) { q += cid; inQueue += cid }
-    initial.foreach(push)
+    val q = mutable.LinkedHashSet.empty[Int]
+    q ++= initial
     // Terminates: only a swap pushes, every swap grows |S| (which is at
     // most n/k), and every pop without a swap shrinks the queue.
     while (q.nonEmpty) {
-      val cid = q.dequeue()
-      inQueue -= cid
+      val cid = q.head
+      q -= cid
       // the index is exact, so a host with candidates is still in S and
       // every candidate is a live k-clique of free and host nodes
       for (cands <- index.get(cid) if cands.length >= 2) {
         val sdis = DynamicPacking.bestDisjointSubset(cands, cliques(cid))
         if (sdis.length > 1) {
           swapCount += 1
-          removeClique(cid).foreach(push)
+          q ++= removeClique(cid)
           for (cand <- sdis) {
             val id = addClique(cand)
-            if (index.contains(id)) push(id)
+            if (index.contains(id)) q += id
           }
         }
       }
@@ -219,26 +240,18 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
   def insertEdge(u: Int, v: Int): Unit = {
     checkEdge(u, v)
     if (!g.addEdge(u, v)) return
-    val cu = cliqueOf(u); val cv = cliqueOf(v)
-    if (cu == -1 && cv == -1) firstFreeClique(Array(u, v)) match {
-      case Some(cliqueNodes) =>
-        // both free and a fully-free clique exists: add directly, no
-        // TrySwap (no other clique gains candidates from this).
-        addClique(cliqueNodes)
+    val free = if (cliqueOf(u) == -1 && cliqueOf(v) == -1) firstFreeClique(Array(u, v)) else None
+    free match {
+      // a fully-free clique is added directly, without TrySwap (no other
+      // clique gains candidates from this)
+      case Some(cliqueNodes) => addClique(cliqueNodes)
+      // otherwise every new candidate holds ⟨u,v⟩ (none when both nodes
+      // are owned: paper, "nothing needs done")
       case None =>
-        // the new edge may create candidates for hosts seeing both
-        // u and v as free neighbours
-        val hv = hostsAround(Array(v))
-        rebuildAndSwap(hostsAround(Array(u)).filter(Arrays.binarySearch(hv, _) >= 0))
+        val hosts = hostsThrough(u, v)
+        if (hosts.nonEmpty) trySwap(rebuildHosts(hosts))
     }
-    // one node free, the other owned by h: new candidates must contain
-    // ⟨u,v⟩, hence their non-free nodes lie in h — only h's set changes.
-    else if (cu == -1 || cv == -1) rebuildAndSwap(Array(math.max(cu, cv)))
-    // both nodes already owned: a candidate may not span two cliques,
-    // so the index and S are untouched (paper: "nothing needs done").
   }
-
-  private def rebuildAndSwap(hosts: Array[Int]): Unit = trySwap(rebuildHosts(hosts))
 
   // ------------------------------------------------------------------
   // Algorithm 7: edge deletion
@@ -259,15 +272,8 @@ final class DynamicPacking(val g: DynamicGraph, val k: Int) {
       trySwap(removeClique(cu) ++ recoverFree(freed))
     } else {
       // S is intact: exactly the candidates containing ⟨u,v⟩ die, and a
-      // deletion creates none, so nothing is pushed. Such a candidate's
-      // host owns u, v or a common neighbour of both. An owned endpoint
-      // names the host, and endpoints owned by two cliques share none.
-      val cv = cliqueOf(v)
-      val hosts = new mutable.ArrayBuilder.ofInt
-      if (cu == -1 && cv == -1)
-        g.foreachNeighbor(u) { w => if (g.hasEdge(v, w)) hosts.addOne(cliqueOf(w)) }
-      else if (cu == -1 || cv == -1) hosts.addOne(math.max(cu, cv))
-      dropFrom(hosts.result())(c => Arrays.binarySearch(c, u) >= 0 && Arrays.binarySearch(c, v) >= 0)
+      // deletion creates none, so nothing is pushed
+      dropFrom(hostsThrough(u, v))(c => Arrays.binarySearch(c, u) >= 0 && Arrays.binarySearch(c, v) >= 0)
     }
   }
 

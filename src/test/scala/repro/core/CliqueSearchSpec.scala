@@ -67,7 +67,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     val search = new CliqueSearch(dag, k)
     for (valid <- null +: Seq.fill(4)(Array.fill(dag.n)(rnd.nextDouble() < 0.8)); u <- 0 until dag.n) {
       var first: Seq[Int] = null
-      search.forEachFrom(u, valid)(c => if (first == null) first = c.toSeq)
+      search.forEachFrom(u, valid)(c => { if (first == null) first = c.toSeq; false })
       assert(Option(search.findFirst(u, valid)).map(_.toSeq) == Option(first), s"k=$k u=$u")
     }
   }
@@ -222,7 +222,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     // uses 7. Remaining cliques among valid nodes: C6=(3,6,8), C7=(1,3,8)
     valid(4) = false; valid(5) = false; valid(7) = false
     val found = scala.collection.mutable.Set.empty[Set[Int]]
-    for (u <- 0 until 9) search.forEachFrom(u, valid)(c => found += c.toSet)
+    for (u <- 0 until 9) search.forEachFrom(u, valid)(c => { found += c.toSet; false })
     assert(found.toSet == Set(Set(3, 6, 8), Set(1, 3, 8)))
   }
 
@@ -363,7 +363,7 @@ class CliqueSearchSpec extends AnyFunSuite {
     for (k <- 3 to 4) {
       val search = new CliqueSearch(CsrGraph.upward(dag), k)
       val expected = ArrayBuffer.empty[Int]
-      for (u <- 0 until g.n) search.forEachFrom(u, null)(c => expected ++= c.sorted)
+      for (u <- 0 until g.n) search.forEachFrom(u, null)(c => { expected ++= c.sorted; false })
       val listed = CliqueSearch.listAll(dag, k)
       assert(listed.length > 2 * 4096, s"k=$k")
       assert(listed.nodes.toSeq == expected.toSeq, s"k=$k")
@@ -391,7 +391,7 @@ class CliqueSearchSpec extends AnyFunSuite {
         val dag = CsrGraph.orient(g, rank)
         val search = new CliqueSearch(CsrGraph.upward(dag), k)
         val expected = ArrayBuffer.empty[Int]
-        for (u <- 0 until g.n) search.forEachFrom(u, null)(expected ++= _)
+        for (u <- 0 until g.n) search.forEachFrom(u, null)(c => { expected ++= c; false })
         for (workers <- Seq(1, 2, 4, 7))
           assert(java.util.Arrays.equals(CliqueSearch.listAll(dag, k, workers).nodes, expected.toArray),
                  s"n=${g.n} workers=$workers")

@@ -168,6 +168,54 @@ class DynamicPackingSpec extends AnyFunSuite {
     }
   }
 
+  // ----------------------------------- hosts through a changed edge
+
+  /** Host A = (0,1,2) and host B = (3,4,5), free nodes u = 6, v = 7 and
+    * 8. A sees u through 0 and v through 1, and holds the candidate
+    * (0,1,8); B's node 3 is a common neighbour of u and v, and no free
+    * node is, so ⟨u,v⟩ closes no all-free clique.
+    */
+  private def twoHosts(withUV: Boolean): DynamicPacking = {
+    val edges = Seq((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+      (0, 6), (1, 7), (3, 6), (3, 7), (0, 8), (1, 8)) ++ Option.when(withUV)((6, 7))
+    val dp = new DynamicPacking(DynamicGraph.fromCsr(TestGraphs.fromEdges(9, edges)), 3)
+    dp.initialize(DisjointResult(3, Vector(Array(0, 1, 2), Array(3, 4, 5))))
+    dp
+  }
+
+  test("insert between two free nodes: the host of a common neighbour gains, one seeing them apart does not") {
+    val dp = twoHosts(withUV = false)
+    val (a, b) = (dp.cliqueOf(0), dp.cliqueOf(3))
+    assert(dp.candidates(a) == Set(Vector(0, 1, 8)) && !dp.candidates.contains(b))
+    dp.insertEdge(6, 7)
+    assert(dp.candidates(b) == Set(Vector(3, 6, 7)))
+    assert(dp.candidates(a) == Set(Vector(0, 1, 8)))
+    assert(dp.size == 2 && dp.swapCount == 0)
+    assertIndexParity(dp, "insert (6,7)")
+  }
+
+  test("delete between two free nodes drops the candidate through it from the host of a common neighbour") {
+    val dp = twoHosts(withUV = true)
+    val (a, b) = (dp.cliqueOf(0), dp.cliqueOf(3))
+    assert(dp.candidates(b) == Set(Vector(3, 6, 7)))
+    dp.deleteEdge(7, 6)
+    assert(!dp.candidates.contains(b))
+    assert(dp.candidates(a) == Set(Vector(0, 1, 8)))
+    assertIndexParity(dp, "delete (7,6)")
+  }
+
+  test("delete between two free nodes drops both candidates of a host owning two common neighbours") {
+    // host (0,1,2); free 3 and 4 are adjacent, and 0 and 1 see both
+    val edges = Seq((0, 1), (0, 2), (1, 2), (3, 4), (0, 3), (0, 4), (1, 3), (1, 4))
+    val dp = new DynamicPacking(DynamicGraph.fromCsr(TestGraphs.fromEdges(5, edges)), 3)
+    dp.initialize(DisjointResult(3, Vector(Array(0, 1, 2))))
+    val h = dp.cliqueOf(0)
+    assert(dp.candidates(h) == Set(Vector(0, 1, 3), Vector(0, 1, 4), Vector(0, 3, 4), Vector(1, 3, 4)))
+    dp.deleteEdge(3, 4)
+    assert(dp.candidates(h) == Set(Vector(0, 1, 3), Vector(0, 1, 4)))
+    assertIndexParity(dp, "delete (3,4)")
+  }
+
   test("delete inside a result clique frees its nodes and recovers what it can") {
     val dp = fig5Packing()
     dp.deleteEdge(2, 3) // split C1=(v3,v4,v5): recover finds (v1,v2,v3)
