@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Arrays
+import java.util.function.IntFunction
 
 /** How `findMin` prunes branches on partial score sums.
   *
@@ -242,24 +243,27 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * lexicographic order of their node ids. The caller guarantees that
     * `prefix` is a clique, and that the nodes of `pool` (in any order,
     * repeats allowed) are not in `prefix` and are adjacent to all of it;
-    * `neighbours(v)` holds v's neighbours, in any order. `f` gets the reused
-    * clique array (prefix first) and returns true to stop; the result
-    * says whether it did.
+    * `neighbours.apply(v)` holds v's neighbours, in any order (an
+    * `IntFunction`, so no id is boxed). `f` gets the reused clique array
+    * (prefix first) and returns true to stop; the result says whether it
+    * did.
     */
-  def forEachExtending(prefix: Array[Int], pool: Array[Int], neighbours: Int => Array[Int])
+  def forEachExtending(prefix: Array[Int], pool: Array[Int], neighbours: IntFunction[Array[Int]])
                       (f: Array[Int] => Boolean): Boolean = {
     val p = prefix.length
-    require(p <= k, s"prefix of ${prefix.length} nodes for k=$k")
+    if (p > k) throw new IllegalArgumentException(s"requirement failed: prefix of $p nodes for k=$k")
     System.arraycopy(prefix, 0, clique, 0, p)
     if (p == k) return f(clique)
     reserve(pool.length)
     System.arraycopy(pool, 0, members, 0, pool.length)
     Arrays.sort(members, 0, pool.length)
     var d = 0
-    for (i <- pool.indices) if (d == 0 || members(d - 1) != members(i)) { members(d) = members(i); d += 1 }
+    var i = 0
+    while (i < pool.length) { if (d == 0 || members(d - 1) != members(i)) { members(d) = members(i); d += 1 }; i += 1 }
     if (d < k - p) return false
     place(d, members(d - 1) + 1)
-    for (i <- 0 until d) poolRow(i, neighbours(members(i)))
+    i = 0
+    while (i < d) { poolRow(i, neighbours.apply(members(i))); i += 1 }
     unplace(d)
     run(p, d, 0L, null, f)
   }

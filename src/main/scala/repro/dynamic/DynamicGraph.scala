@@ -51,14 +51,10 @@ final class DynamicGraph(val n: Int) {
     System.arraycopy(row, at + 1, rows(u), at, row.length - 1 - at)
   }
 
-  def foreachNeighbor(u: Int)(f: Int => Unit): Unit = {
-    val row = rows(u)
-    var i = 0
-    while (i < row.length) { f(row(i)); i += 1 }
-  }
-
   /** The rows are sorted and symmetric already, so they are the CSR's. */
-  def toCsr: CsrGraph = CsrGraph.group(n)(f => for (u <- 0 until n) foreachNeighbor(u)(f(u, _)))
+  def toCsr: CsrGraph = CsrGraph.group(n) { f =>
+    for (u <- 0 until n) { val row = neighbours(u); var i = 0; while (i < row.length) { f(u, row(i)); i += 1 } }
+  }
 }
 
 object DynamicGraph {

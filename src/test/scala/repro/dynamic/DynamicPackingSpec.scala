@@ -14,7 +14,7 @@ class DynamicPackingSpec extends AnyFunSuite {
   private def bruteCandidates(dp: DynamicPacking, cid: Int): Set[Vector[Int]] = {
     val c = dp.cliques(cid)
     val b = mutable.SortedSet.empty[Int] ++ c
-    for (u <- c) dp.g.foreachNeighbor(u) { v => if (dp.cliqueOf(v) == -1) b += v }
+    for (u <- c; v <- dp.g.neighbours(u)) if (dp.cliqueOf(v) == -1) b += v
     val pool = b.toVector
     def grow(chosen: List[Int], from: Int, left: Int): Iterator[List[Int]] =
       if (left == 0) Iterator.single(chosen)
@@ -140,6 +140,16 @@ class DynamicPackingSpec extends AnyFunSuite {
     assert(dp.size == 2)
   }
 
+  test("insert with one owned endpoint gives its host the candidates through the edge") {
+    val dp = fig5Packing()
+    val hostC1 = dp.cliqueOf(2)
+    dp.insertEdge(1, 3) // v2 (free) — v4 (in C1): (v2,v3,v4) joins (v1,v2,v3)
+    assertValid(dp, "one-owned")
+    assertIndexParity(dp, "one-owned")
+    assert(dp.candidates(hostC1) == Set(Vector(0, 1, 2), Vector(1, 2, 3)))
+    assert(dp.size == 2 && dp.swapCount == 0)
+  }
+
   // ------------------------------------------------- deletion cases
 
   test("a removed clique hands the hosts that gained back to TrySwap in ascending id order") {
@@ -248,6 +258,14 @@ class DynamicPackingSpec extends AnyFunSuite {
 
   // ------------------------------------------- randomised soak tests
 
+  /** The index holds what it gained less what it dropped. */
+  private def assertCounted(dp: DynamicPacking, ctx: String): Unit =
+    assert(dp.indexSize == dp.entriesGained - dp.entriesDropped,
+      s"$ctx: index size ${dp.indexSize}, gained ${dp.entriesGained}, dropped ${dp.entriesDropped}")
+
+  private def counters(dp: DynamicPacking): Seq[Long] =
+    Seq(dp.swapCount, dp.hostsRebuilt, dp.entriesGained, dp.entriesDropped)
+
   for (k <- 3 to 6; seed <- 0 until 4) {
     test(s"random update soak: validity + index parity + maximality, k=$k seed=$seed") {
       val n = 24
@@ -255,6 +273,7 @@ class DynamicPackingSpec extends AnyFunSuite {
       val dp = initFromStatic(g, k)
       assertValid(dp, "init")
       assertIndexParity(dp, "init")
+      assertCounted(dp, "init")
       val rnd = new Random(9000L * k + seed)
       val stream = mutable.ArrayBuffer.empty[(Boolean, Int, Int)]
       def apply(p: DynamicPacking, op: (Boolean, Int, Int)): Unit =
@@ -267,6 +286,7 @@ class DynamicPackingSpec extends AnyFunSuite {
           apply(dp, stream.last)
           assertValid(dp, s"step $step")
           assertIndexParity(dp, s"step $step")
+          assertCounted(dp, s"step $step")
           // S must stay maximal: the maintained invariant of Section V
           assert(Validation.isMaximal(dp.g.toCsr, dp.result), s"step $step not maximal")
         }
@@ -276,6 +296,7 @@ class DynamicPackingSpec extends AnyFunSuite {
       stream.foreach(apply(replay, _))
       assert(replay.result.cliques.map(_.toSeq) == dp.result.cliques.map(_.toSeq))
       assert(replay.swapCount == dp.swapCount)
+      assert(counters(replay) == counters(dp))
     }
   }
 
@@ -301,6 +322,7 @@ class DynamicPackingSpec extends AnyFunSuite {
       assert(dp.size == 1 && pools.head == m + k - 2)
       assertValid(dp, "init")
       assertIndexParity(dp, "init")
+      assertCounted(dp, "init")
       val rnd = new Random(77L * k + m)
       val stream = mutable.ArrayBuffer.empty[(Boolean, Int, Int)]
       def apply(p: DynamicPacking, op: (Boolean, Int, Int)): Unit =
@@ -315,12 +337,14 @@ class DynamicPackingSpec extends AnyFunSuite {
           apply(dp, stream.last)
           assertValid(dp, s"step $step")
           assertIndexParity(dp, s"step $step")
+          assertCounted(dp, s"step $step")
         }
       }
       val replay = initFromStatic(g, k)
       stream.foreach(apply(replay, _))
       assert(replay.result.cliques.map(_.toSeq) == dp.result.cliques.map(_.toSeq))
       assert(replay.swapCount == dp.swapCount)
+      assert(counters(replay) == counters(dp))
     }
   }
 
