@@ -28,8 +28,11 @@ object MemoryModel {
   /** node scores (8n) + min-heap entries: ≤ one per source node, each an
     * entry object with a k-int array. This models the paper's heap
     * entries, and it feeds `gcBytes` and the OOM gate, so it stays as is;
-    * the code holds flat slots instead, 8n + 4kn + 4n bytes (scores,
-    * cliques, heap of sources).
+    * the code holds flat slots instead, 8n + 4kn + 4n + 8n bytes (scores,
+    * cliques, heap of sources and its inline keys), plus 8m bytes of
+    * cached bitset rows (one word per DAG edge) and, with helper threads,
+    * 16n bytes of per-node change index and ring references and a ring of
+    * at most 2^14 entries of 65 bytes for k ≤ 8.
     */
   def lpBytes(g: CsrGraph, k: Int): Long =
     baseBytes(g) + 8L * g.n + g.n.toLong * (objHeader + 8 + 4 + arrayHeader + 4L * k)

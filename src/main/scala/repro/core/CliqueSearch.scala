@@ -30,9 +30,11 @@ object PruneMode {
   * & OR 2011) over a set S of nodes in ascending id order, a source's
   * valid out-list or a caller's pool: row i holds, as ⌈|S|/64⌉ words, the
   * positions in S of the out-neighbours of S(i), set through one position
-  * map (`place`) by `fill` for a source and `poolRow` for a pool. The
-  * enumerating entry points share one recursion, `rec`, whose candidates
-  * at each level are the AND of the chosen nodes' rows; they differ
+  * map (`place`) by `fill` for a source and `poolRow` for a pool. With a
+  * row cache (`rowCache`), an unmasked `findMin` keeps the rows of each
+  * source of out-degree ≤ 64, and a masked one reads them back in place of
+  * `fill`. The enumerating entry points share one recursion, `rec`, whose
+  * candidates at each level are the AND of the chosen nodes' rows; they differ
   * only in the level-0 candidates, the prune limit and the
   * leaf action. Per-node counts (`countPerNode`) come from `pivot`, which
   * counts the cliques of each source without visiting them, on the same
@@ -51,13 +53,16 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   /** `cheapest`'s scratch. */
   private val lowest  = new Array[Long](k)
 
-  /** S; its rows, `words` longs each, row i at i·words; and the candidate
-    * set of each level of `rec` or depth of `pivot`. Sized for the largest
-    * S so far.
+  /** S; its rows, `words` longs each, row i at rowBase + i·words of `rows`,
+    * which is `buf` or the row cache; and the candidate set of each level of
+    * `rec` or depth of `pivot`. `members`, `buf` and `sets` are sized for
+    * the largest S so far.
     */
   private var members = new Array[Int](0)
   private var words = 0
+  private var buf: Array[Long] = null
   private var rows: Array[Long] = null
+  private var rowBase = 0
   private var sets: Array[Long] = null
   /** Node → its position in S between `place` and `unplace`, -1 otherwise. */
   private var pos = new Array[Int](0)
@@ -72,19 +77,29 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   /** `findMin` calls that searched: from a valid source with ≥ k − 1 valid out-neighbours. */
   private[core] var searches: Long = 0L
 
+  /** The rows of every source u of out-degree d with k − 1 ≤ d ≤ 64, one
+    * word each, row i at `dag.offsets(u) + i` (aligned with `dag.adj`), or
+    * null. Searches on several threads may share one: each source's words
+    * are written by its unmasked `findMin` alone, before any masked one
+    * reads them.
+    */
+  private[core] var rowCache: Array[Long] = null
+
   private def reserve(d: Int): Unit = if (d > members.length) {
     val w = (d + 63) >>> 6
     members = new Array[Int](d)
-    rows = new Array[Long](d * w)
+    buf = new Array[Long](d * w)
     sets = new Array[Long]((math.max(d, k) + 1) * w)
   }
 
   /** Make `members(0 until d)`, all ids below `bound`, the set S: clear
-    * its rows and map each node of S to its position in `pos`, which
-    * `unplace` undoes.
+    * its rows in `buf` and map each node of S to its position in `pos`,
+    * which `unplace` undoes.
     */
   private def place(d: Int, bound: Int): Unit = {
     words = (d + 63) >>> 6
+    rows = buf
+    rowBase = 0
     Arrays.fill(rows, 0, d * words, 0L)
     if (pos.length < bound) pos = Array.fill(math.max(bound, 2 * pos.length))(-1)
     var i = 0
@@ -120,8 +135,8 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   }
 
   /** Put `u` at level 0 and make its out-neighbours that pass `valid` the
-    * set S, with its rows when it has at least k − 1 nodes. Returns |S|,
-    * or -1 when `u` itself is masked.
+    * set S, with its rows and all of it the level-1 candidates when it has
+    * at least k − 1 nodes. Returns |S|, or -1 when `u` itself is masked.
     */
   private def load(u: Int, valid: Array[Boolean]): Int = {
     if (valid != null && !valid(u)) return -1
@@ -134,8 +149,29 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
       if (valid == null || valid(v)) { members(d) = v; d += 1 }
       o += 1
     }
-    if (d >= k - 1) fill(d)
+    if (d >= k - 1) { fill(d); selectAll(words, d) }
     d
+  }
+
+  /** `load` on the cached rows of a source of out-degree d ≤ 64: S is its
+    * whole out-list, and the level-1 candidates are the nodes of S that
+    * pass `valid`. Returns their number, or -1 when `u` itself is masked.
+    */
+  private def loadCached(u: Int, valid: Array[Boolean]): Int = {
+    if (!valid(u)) return -1
+    clique(0) = u
+    val o = dag.offsets(u)
+    val d = dag.offsets(u + 1) - o
+    if (d < k - 1) return d
+    reserve(d)
+    var set = 0L
+    var i = 0
+    while (i < d) { val v = dag.adj(o + i); members(i) = v; if (valid(v)) set |= 1L << i; i += 1 }
+    words = 1
+    rows = rowCache
+    rowBase = o
+    sets(1) = set
+    java.lang.Long.bitCount(set)
   }
 
   /** Put all d nodes of S in the set at `sets(at)`. */
@@ -152,7 +188,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     var len = 0
     var j = 0
     while (j < w) {
-      val y = sets(at + j) & rows(v * w + j)
+      val y = sets(at + j) & rows(rowBase + v * w + j)
       sets(at + w + j) = y
       len += java.lang.Long.bitCount(y)
       j += 1
@@ -223,15 +259,14 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     false
   }
 
-  /** Start `rec` at `level` over all d nodes of S, with the given scores
-    * (null: unscored) and no prune limit; a leaf may tighten `limit` as it
-    * goes.
+  /** Start `rec` at `level` over its candidate set, of `count` nodes, with
+    * the given scores (null: unscored) and no prune limit; a leaf may
+    * tighten `limit` as it goes.
     */
-  private def run(level: Int, d: Int, partial: Long, sn: Array[Long], leaf: Array[Int] => Boolean): Boolean = {
-    if (d < k - level) return false
+  private def run(level: Int, count: Int, partial: Long, sn: Array[Long], leaf: Array[Int] => Boolean): Boolean = {
+    if (count < k - level) return false
     scores = sn
     limit = Long.MaxValue
-    selectAll(level * words, d)
     rec(level, partial, leaf)
   }
 
@@ -265,6 +300,7 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     i = 0
     while (i < d) { poolRow(i, neighbours.apply(members(i))); i += 1 }
     unplace(d)
+    selectAll(p * words, d)
     run(p, d, 0L, null, f)
   }
 
@@ -293,7 +329,9 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   private var prune: PruneMode = PruneMode.NoPrune
   private var bestScore: Long = Long.MaxValue
   private var found: Boolean = false
-  /** The best clique so far, canonical; `sorted` is the leaf's scratch. */
+  /** The best clique so far, canonical; `sorted` is the leaf's scratch,
+    * where it sorts its k ids by insertion.
+    */
   private var best = new Array[Int](k)
   private var sorted = new Array[Int](k)
 
@@ -304,8 +342,14 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
   private val minLeaf: Array[Int] => Boolean = { c =>
     val score = leafScore
     if (!found || score <= bestScore) {
-      System.arraycopy(c, 0, sorted, 0, k)
-      Arrays.sort(sorted)
+      var i = 0
+      while (i < k) {
+        val x = c(i)
+        var j = i
+        while (j > 0 && sorted(j - 1) > x) { sorted(j) = sorted(j - 1); j -= 1 }
+        sorted(j) = x
+        i += 1
+      }
       if (!found || score < bestScore || CliqueSearch.compareCanon(sorted, best) < 0) {
         found = true
         bestScore = score
@@ -328,11 +372,18 @@ final class CliqueSearch(val dag: CsrGraph, val k: Int) {
     * goes to `out[at, at+k)` and its score is returned; when u roots no
     * clique among valid nodes, `out` is untouched and the result is
     * [[CliqueSearch.NoClique]].
+    *
+    * With a row cache, an unmasked call (`valid` null) stores u's rows
+    * there, and a masked call on a source of out-degree ≤ 64 reads them.
+    * Either way S keeps its nodes in out-list order, so `rec` meets the
+    * cliques in the same order and prunes the same branches.
     */
   def findMin(u: Int, valid: Array[Boolean], sn: Array[Long], prune: PruneMode,
               out: Array[Int], at: Int): Long = {
-    val d = load(u, valid)
+    val cached = rowCache != null && valid != null && dag.degree(u) <= 64
+    val d = if (cached) loadCached(u, valid) else load(u, valid)
     if (d < k - 1) return CliqueSearch.NoClique
+    if (rowCache != null && valid == null && d <= 64) System.arraycopy(rows, 0, rowCache, dag.offsets(u), d)
     searches += 1
     this.prune = prune
     found = false

@@ -19,19 +19,33 @@ object Validation {
     * cliques are pairwise disjoint. Returns an error description or None.
     */
   def validate(n: Int, hasEdge: (Int, Int) => Boolean, result: DisjointResult): Option[String] = {
-    val owner = Array.fill(n)(-1) // the index of the clique holding each node
-    for ((c, idx) <- result.cliques.zipWithIndex) {
+    val owner = new Array[Int](n) // the index of the clique holding each node
+    java.util.Arrays.fill(owner, -1)
+    val cliques = result.cliques.iterator
+    var idx = 0
+    while (cliques.hasNext) {
+      val c = cliques.next()
       if (c.length != result.k)
         return Some(s"clique #$idx has ${c.length} nodes, expected k=${result.k}")
-      for (v <- c) {
+      var i = 0
+      while (i < c.length) {
+        val v = c(i)
         if (v < 0 || v >= n) return Some(s"clique #$idx node $v is outside [0, $n)")
         if (owner(v) == idx) return Some(s"clique #$idx ${c.mkString(",")} has duplicate nodes")
         if (owner(v) != -1) return Some(s"node $v appears in two cliques")
         owner(v) = idx
+        i += 1
       }
-      for (i <- c.indices; j <- (i + 1) until c.length)
-        if (!hasEdge(c(i), c(j)))
-          return Some(s"clique #$idx missing edge (${c(i)},${c(j)})")
+      i = 0
+      while (i < c.length) {
+        var j = i + 1
+        while (j < c.length) {
+          if (!hasEdge(c(i), c(j))) return Some(s"clique #$idx missing edge (${c(i)},${c(j)})")
+          j += 1
+        }
+        i += 1
+      }
+      idx += 1
     }
     None
   }

@@ -14,6 +14,8 @@ import scala.reflect.ClassTag
   * function turns one part's sources into its output with the worker's
   * `CliqueSearch`. `onSpark` runs the parts as one Spark job; `onDriver`
   * runs them on driver threads, for phases too short to pay for a job.
+  * Its threads beside the caller come from `alongside`, which also runs
+  * LP's speculating helpers.
   */
 private[core] object SourcePass {
 
@@ -105,13 +107,26 @@ private[core] object SourcePass {
           p = next.getAndIncrement()
         }
       } catch { case t: Throwable => next.set(ps); throw t }
-    val others: Seq[Future[_]] = Seq.fill(workers - 1)(helpers(workers - 1).submit(work))
+    alongside(workers - 1, work)(work.run())(())
+  }
+
+  /** Run `mine` on the caller while `others` pool threads each run `work`.
+    * When `mine` ends, normally or by throwing, call `finish` (which must
+    * make `work` return), wait for the pool threads, and rethrow the first
+    * failure: the caller's, else the first pool thread's in submission
+    * order. No pool thread is still in `work` when this returns or throws.
+    */
+  def alongside[T](others: Int, work: Runnable)(mine: => T)(finish: => Unit): T = {
+    val started: Seq[Future[_]] = Seq.fill(others)(helpers(others).submit(work))
     var failure: Throwable = null
-    try work.run() catch { case t: Throwable => failure = t }
-    for (o <- others)
+    var result = null.asInstanceOf[T]
+    try result = mine catch { case t: Throwable => failure = t }
+    finish
+    for (o <- started)
       try o.get() catch {
         case e: ExecutionException => if (failure == null) failure = e.getCause
       }
     if (failure != null) throw failure
+    result
   }
 }
